@@ -4,7 +4,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "fl/agg_strategy.hpp"
 #include "fl/client_runtime.hpp"
 #include "fl/model_update.hpp"
 #include "fl/parallel_agg.hpp"
@@ -50,7 +49,7 @@ void BM_ParallelAggregation(benchmark::State& state) {
   const auto threads = static_cast<std::size_t>(state.range(0));
   const util::Bytes update = serialized_update(model_size);
   for (auto _ : state) {
-    fl::ParallelAggregator agg(model_size, threads, threads);
+    fl::ParallelAggregator agg(model_size, threads);
     for (int i = 0; i < 512; ++i) agg.enqueue(update, 1.0);
     benchmark::DoNotOptimize(agg.reduce_and_reset());
   }
@@ -63,18 +62,14 @@ BENCHMARK(BM_ParallelAggregation)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
 /// update streams consistent-hashed across 1/2/4/8 single-worker shards.
 /// Each shard owns its own queue + pool + intermediates, so throughput
 /// scales with the shard count instead of saturating one reduce loop.
-/// Runs under the adaptive (`auto`) strategy — the TaskConfig default —
-/// so the --compare gate in scripts/bench.sh tracks what production sees.
-void sharded_aggregation(benchmark::State& state, fl::AggStrategy strategy,
-                         std::size_t shards, std::size_t model_size,
-                         std::size_t num_updates) {
+void sharded_aggregation(benchmark::State& state, std::size_t shards,
+                         std::size_t model_size, std::size_t num_updates) {
   const util::Bytes update = serialized_update(model_size);
   for (auto _ : state) {
     fl::ShardedAggregator::Config cfg;
     cfg.model_size = model_size;
     cfg.num_shards = shards;
     cfg.threads_per_shard = 1;
-    cfg.strategy = strategy;
     fl::ShardedAggregator agg(cfg);
     for (std::uint64_t i = 0; i < num_updates; ++i) {
       agg.enqueue(/*stream_key=*/i, update, 1.0);
@@ -86,46 +81,20 @@ void sharded_aggregation(benchmark::State& state, fl::AggStrategy strategy,
 }
 
 void BM_ShardedAggregation(benchmark::State& state) {
-  sharded_aggregation(state, fl::AggStrategy::kAuto,
-                      static_cast<std::size_t>(state.range(0)),
+  sharded_aggregation(state, static_cast<std::size_t>(state.range(0)),
                       /*model_size=*/65536, /*num_updates=*/512);
 }
 BENCHMARK(BM_ShardedAggregation)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
-/// Forced-strategy sweep at the 8-shard point (informational — lets a
-/// --compare run show where the adaptive picker sits between the locked
-/// baseline and each specialised backend).
-void BM_ShardedAggregationForced(benchmark::State& state) {
-  sharded_aggregation(state, static_cast<fl::AggStrategy>(state.range(0)),
-                      /*shards=*/8, /*model_size=*/65536, /*num_updates=*/512);
-}
-BENCHMARK(BM_ShardedAggregationForced)
-    ->Arg(static_cast<int>(fl::AggStrategy::kLocked))
-    ->Arg(static_cast<int>(fl::AggStrategy::kMorsel))
-    ->Arg(static_cast<int>(fl::AggStrategy::kStriped))
-    ->Unit(benchmark::kMillisecond);
-
-/// Adversarial update-size shapes per strategy: many small updates (the
-/// striped backend's home turf, the morsel backend's worst case) and few
-/// large ones (vice versa).  Arg encoding: range(0) = 0 small / 1 large,
-/// range(1) = strategy.  The bench.sh --compare gate asserts `auto` stays
-/// within 10% of the locked baseline on BOTH shapes (graceful degradation:
-/// the picker must not choose a backend that loses to doing nothing).
+/// Skewed update sizes: many small updates and few large ones (per-update
+/// overhead vs fold bandwidth).  Arg: 0 small / 1 large.
 void BM_AggregationSkew(benchmark::State& state) {
   const bool large = state.range(0) != 0;
-  const std::size_t model_size = large ? 65536 : 256;
-  const std::size_t num_updates = large ? 24 : 192;
-  sharded_aggregation(state, static_cast<fl::AggStrategy>(state.range(1)),
-                      /*shards=*/2, model_size, num_updates);
+  sharded_aggregation(state, /*shards=*/2, /*model_size=*/large ? 65536 : 256,
+                      /*num_updates=*/large ? 24 : 192);
 }
-BENCHMARK(BM_AggregationSkew)
-    ->ArgsProduct({{0, 1},
-                   {static_cast<int>(fl::AggStrategy::kAuto),
-                    static_cast<int>(fl::AggStrategy::kLocked),
-                    static_cast<int>(fl::AggStrategy::kMorsel),
-                    static_cast<int>(fl::AggStrategy::kStriped)}})
-    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_AggregationSkew)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 void BM_FedAdamStep(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -78,8 +78,8 @@ compare_with_baseline() {
   fi
   local rows
   if [[ "$name" == bench_micro_* ]]; then
-    # Metrics present only in the fresh run (a bench that gained a strategy
-    # sweep or a new arg) are reported as NEW and never gated: there is no
+    # Metrics present only in the fresh run (a bench that gained a sweep or
+    # a new arg) are reported as NEW and never gated: there is no
     # baseline to regress against, and erroring on them would block the very
     # commit that introduces the column.
     rows="$(jq -rn '

@@ -40,14 +40,8 @@ void Aggregator::assign_task(const TaskConfig& config,
     throw std::invalid_argument(
         "Aggregator: SyncFL aggregation goal cannot exceed concurrency");
   }
-  // Registration-boundary validation: a strategy value outside the enum
-  // (deserialized or cast garbage) is rejected, and a zero shard count is
-  // normalized here even when registration bypassed Coordinator placement —
-  // 0 must never reach the ring modulo.
-  if (!valid_agg_strategy(config.aggregation_strategy)) {
-    throw std::invalid_argument(
-        "Aggregator: unknown aggregation strategy for task " + config.name);
-  }
+  // A zero shard count is normalized here even when registration bypassed
+  // Coordinator placement — 0 must never reach the ring modulo.
   TaskState ts;
   ts.config = config;
   if (ts.config.aggregator_shards == 0) ts.config.aggregator_shards = 1;
@@ -55,23 +49,20 @@ void Aggregator::assign_task(const TaskConfig& config,
   ts.version = initial_version;
   ts.server_opt = std::make_unique<ml::ServerOptimizer>(config.model_size, server_opt);
   // Sharded pipeline (Sec. 6.3): `aggregator_shards` independent worker
-  // pools, each with one intermediate per worker to keep contention low,
-  // all folding via the task's configured strategy.
+  // pools, each worker folding into its own intermediate.
   ShardedAggregator::Config pipeline_cfg;
   pipeline_cfg.model_size = config.model_size;
   pipeline_cfg.num_shards = ts.config.aggregator_shards;
   pipeline_cfg.threads_per_shard = num_threads_;
-  pipeline_cfg.intermediates_per_shard = num_threads_;
   pipeline_cfg.clip_norm = config.dp.enabled ? config.dp.clip_norm : 0.0f;
   pipeline_cfg.drain_batch = config.aggregation_batch_size;
-  pipeline_cfg.strategy = config.aggregation_strategy;
   ts.pipeline = std::make_unique<ShardedAggregator>(pipeline_cfg);
   ts.dp_rng.reseed(std::hash<std::string>{}(config.name) ^ 0xd9ULL);
   if (config.secagg_enabled) {
     ts.secure = std::make_unique<SecureBufferManager>(
         config.model_size, config.aggregation_goal,
         std::hash<std::string>{}(config.name) ^ 0x5ecULL,
-        config.aggregation_batch_size, config.aggregation_strategy);
+        config.aggregation_batch_size);
   }
   tasks_.insert_or_assign(config.name, std::move(ts));
 }
@@ -358,10 +349,6 @@ const TaskStats& Aggregator::stats(const std::string& task) const {
 
 std::size_t Aggregator::task_shards(const std::string& task) const {
   return state(task).pipeline->num_shards();
-}
-
-AggStrategy Aggregator::task_strategy(const std::string& task) const {
-  return state(task).config.aggregation_strategy;
 }
 
 double Aggregator::estimated_workload() const {

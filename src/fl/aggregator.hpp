@@ -150,10 +150,6 @@ class Aggregator {
   /// TaskConfig::aggregator_shards; tests assert this survives failover).
   std::size_t task_shards(const std::string& task) const;
 
-  /// Fold strategy the task was registered with (validated
-  /// TaskConfig::aggregation_strategy; kAuto means per-shard adaptive).
-  AggStrategy task_strategy(const std::string& task) const;
-
   /// Estimated total workload across assigned tasks (for Coordinator
   /// placement decisions).
   double estimated_workload() const;

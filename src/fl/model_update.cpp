@@ -23,6 +23,29 @@ ModelUpdate ModelUpdate::deserialize(const util::Bytes& bytes) {
   return out;
 }
 
+std::optional<UpdateView> UpdateView::parse(const util::Bytes& bytes,
+                                            std::size_t expect) {
+  // The header serialize() writes: three u64 fields, then the float count.
+  constexpr std::size_t kHeaderBytes = 4 * 8;
+  if (bytes.size() < kHeaderBytes) return std::nullopt;
+  util::ByteReader r(bytes);
+  for (int field = 0; field < 3; ++field) (void)r.u64();
+  const std::uint64_t count = r.u64();
+  if (count != expect) return std::nullopt;
+  // Division form so a hostile count cannot overflow the byte math.
+  if (count > r.remaining() / 4) return std::nullopt;
+  return UpdateView{bytes.data() + kHeaderBytes,
+                    static_cast<std::size_t>(count)};
+}
+
+void UpdateView::copy_to(std::span<float> out) const {
+  if constexpr (std::endian::native == std::endian::little) {
+    if (count > 0) std::memcpy(out.data(), payload, count * 4);
+  } else {
+    for (std::size_t i = 0; i < count; ++i) out[i] = at(i);
+  }
+}
+
 const char* to_string(StalenessScheme scheme) {
   switch (scheme) {
     case StalenessScheme::kInverseSqrt:

@@ -6,7 +6,11 @@
 // training examples and down-weighted by staleness: w = 1 / sqrt(1 + s),
 // where s = version_at_upload - version_at_download.
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "util/bytes.hpp"
@@ -24,9 +28,43 @@ struct ModelUpdate {
 
   /// Wire format used between client and Aggregator (clients upload the
   /// serialized update in chunks; the Aggregator's queue holds these bytes
-  /// until a worker deserializes them, Sec. 6.3).
+  /// until a worker folds them, Sec. 6.3): client_id u64 | initial_version
+  /// u64 | num_examples u64 | count u64 | count * f32, all little-endian.
   util::Bytes serialize() const;
   static ModelUpdate deserialize(const util::Bytes& bytes);
+};
+
+/// A bounds-checked view over one serialized ModelUpdate's float payload —
+/// the aggregation fold reads the wire bytes in place instead of
+/// materializing a ModelUpdate.  This is a trust-boundary decoder: the bytes
+/// come straight off a client upload.
+struct UpdateView {
+  const std::uint8_t* payload = nullptr;  ///< count * 4 bytes of LE f32 bits
+  std::size_t count = 0;
+
+  /// Parses `bytes`; returns nullopt unless the update is well-formed AND
+  /// carries exactly `expect` parameters (malformed updates are dropped).
+  static std::optional<UpdateView> parse(const util::Bytes& bytes,
+                                         std::size_t expect);
+
+  float at(std::size_t i) const {
+    float v;
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(&v, payload + 4 * i, 4);
+    } else {
+      const std::uint8_t* p = payload + 4 * i;
+      const std::uint32_t bits =
+          static_cast<std::uint32_t>(p[0]) |
+          (static_cast<std::uint32_t>(p[1]) << 8) |
+          (static_cast<std::uint32_t>(p[2]) << 16) |
+          (static_cast<std::uint32_t>(p[3]) << 24);
+      std::memcpy(&v, &bits, 4);
+    }
+    return v;
+  }
+
+  /// Decode the whole payload into `out` (out.size() == count).
+  void copy_to(std::span<float> out) const;
 };
 
 /// Staleness down-weighting families.  The paper (App. E.2) uses the

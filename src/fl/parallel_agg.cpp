@@ -3,57 +3,24 @@
 #include <algorithm>
 #include <stdexcept>
 
-namespace papaya::fl {
+#include "fl/model_update.hpp"
+#include "ml/math.hpp"
 
-std::size_t ParallelAggregator::strategy_index(AggStrategy s) {
-  switch (s) {
-    case AggStrategy::kLocked:
-      return 0;
-    case AggStrategy::kMorsel:
-      return 1;
-    case AggStrategy::kStriped:
-      return 2;
-    case AggStrategy::kAuto:
-      break;
-  }
-  // kAuto resolves to the locked baseline until the first stats window.
-  return 0;
-}
+namespace papaya::fl {
 
 ParallelAggregator::ParallelAggregator(std::size_t model_size,
                                        std::size_t num_threads,
-                                       std::size_t num_intermediates,
                                        float clip_norm,
-                                       std::size_t drain_batch,
-                                       AggStrategy strategy,
-                                       const AggTuning& tuning)
+                                       std::size_t drain_batch)
     : model_size_(model_size),
-      tuning_(tuning),
-      configured_(strategy),
-      active_(strategy_index(strategy)) {
+      clip_norm_(clip_norm),
+      drain_batch_(drain_batch == 0 ? 1 : drain_batch),
+      accumulators_(num_threads == 0 ? 1 : num_threads) {
   if (model_size == 0) {
     throw std::invalid_argument("ParallelAggregator: model_size must be > 0");
   }
-  if (!valid_agg_strategy(strategy)) {
-    throw std::invalid_argument("ParallelAggregator: unknown strategy");
-  }
-  const std::size_t n = num_threads == 0 ? 1 : num_threads;
-  StrategyContext context;
-  context.model_size = model_size_;
-  context.num_workers = n;
-  context.num_partitions = num_intermediates == 0 ? 1 : num_intermediates;
-  context.clip_norm = clip_norm;
-  context.tuning = tuning_;
-  context.stats = &stats_;
-  // All three backends live for the pool's lifetime so mid-stream switches
-  // never migrate accumulator state; the locked baseline pre-allocates its
-  // intermediates (as the pre-strategy pool did), the others are lazy.
-  strategies_[0] = make_fold_strategy(AggStrategy::kLocked, context);
-  strategies_[1] = make_fold_strategy(AggStrategy::kMorsel, context);
-  strategies_[2] = make_fold_strategy(AggStrategy::kStriped, context);
-  drain_batch_ = drain_batch == 0 ? 1 : drain_batch;
-  workers_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
+  workers_.reserve(accumulators_.size());
+  for (std::size_t i = 0; i < accumulators_.size(); ++i) {
     workers_.emplace_back([this, i] { worker_loop(i); });
   }
 }
@@ -72,31 +39,17 @@ void ParallelAggregator::enqueue(util::Bytes serialized_update, double weight) {
   {
     util::LockGuard lock(queue_mutex_);
     queue_.push_back(QueuedUpdate{std::move(serialized_update), weight});
-    // Recorded under the queue lock so a worker that observes the queued
-    // update also observes its stats: the adaptive picker then always sees
-    // a non-empty window before the first fold, making kAuto's strategy
-    // choice deterministic for single-worker pools (no update ever folds
-    // under the startup backend by racing the counter).
-    stats_.on_enqueue(bytes, queue_.size());
+    ++stats_.enqueued;
+    stats_.enqueued_bytes += bytes;
+    stats_.max_queue_depth =
+        std::max<std::uint64_t>(stats_.max_queue_depth, queue_.size());
   }
   queue_cv_.notify_one();
 }
 
-void ParallelAggregator::force_strategy(AggStrategy strategy) {
-  if (!valid_agg_strategy(strategy)) {
-    throw std::invalid_argument("ParallelAggregator: unknown strategy");
-  }
-  configured_.store(strategy, std::memory_order_relaxed);
-  if (strategy != AggStrategy::kAuto) {
-    active_.store(strategy_index(strategy), std::memory_order_relaxed);
-  }
-}
-
-AggStrategy ParallelAggregator::active_strategy() const {
-  return strategies_[active_.load(std::memory_order_relaxed)]->kind();
-}
-
 void ParallelAggregator::worker_loop(std::size_t worker_index) {
+  Intermediate& acc = accumulators_[worker_index];
+  std::vector<float> clipped;  // the clip rescales the whole delta: copy first
   std::vector<QueuedUpdate> run;
   run.reserve(drain_batch_);
   for (;;) {
@@ -120,26 +73,36 @@ void ParallelAggregator::worker_loop(std::size_t worker_index) {
       inflight_ += take;
     }
 
-    // Adaptive re-decision per drained run (Snippet-2 discipline): a cheap
-    // relaxed read of the stats window; forced modes skip the picker.  The
-    // worker folds this whole run under whichever backend it loads here —
-    // a concurrent switch affects later runs, and the reduce merges every
-    // touched backend, so no update is lost across a switch.
-    if (configured_.load(std::memory_order_relaxed) == AggStrategy::kAuto) {
-      const std::size_t current = active_.load(std::memory_order_relaxed);
-      const AggStrategy next = decide_strategy(
-          stats_.windowed(), strategies_[current]->kind(), tuning_,
-          workers_.size());
-      if (strategy_index(next) != current) {
-        active_.store(strategy_index(next), std::memory_order_relaxed);
+    // Lock-free fold into this worker's accumulator, straight from the wire
+    // bytes.  A malformed update must not poison the aggregate, so it simply
+    // drops out of the run.
+    std::size_t folded = 0;
+    for (const QueuedUpdate& queued : run) {
+      const auto view = UpdateView::parse(queued.bytes, model_size_);
+      if (!view) continue;
+      if (acc.weighted_delta.empty()) {
+        acc.weighted_delta.assign(model_size_, 0.0f);
       }
+      float* sum = acc.weighted_delta.data();
+      const float w = static_cast<float>(queued.weight);
+      if (clip_norm_ > 0.0f) {
+        clipped.resize(model_size_);
+        view->copy_to(clipped);
+        ml::clip_norm(clipped, clip_norm_);
+        for (std::size_t i = 0; i < model_size_; ++i) sum[i] += w * clipped[i];
+      } else {
+        for (std::size_t i = 0; i < model_size_; ++i) sum[i] += w * view->at(i);
+      }
+      acc.weight_sum += queued.weight;
+      ++acc.count;
+      ++folded;
     }
-    strategies_[active_.load(std::memory_order_relaxed)]->fold_run(
-        worker_index, run);
 
     {
       util::LockGuard lock(queue_mutex_);
       inflight_ -= run.size();
+      stats_.folded += folded;
+      stats_.dropped += run.size() - folded;
     }
     drained_cv_.notify_all();
   }
@@ -154,14 +117,17 @@ void ParallelAggregator::drain() {
 }
 
 ParallelAggregator::Reduced ParallelAggregator::reduce_and_reset_sums() {
+  // One reducer at a time: two reducers that both passed the drained wait
+  // would otherwise each add the same accumulators before either reset them.
+  util::LockGuard reducing(reduce_mutex_);
   // Quiesce the pool before touching the accumulators.  The drained
   // predicate and the pause flag are evaluated/set under one queue_mutex_
-  // critical section: everything enqueued before this call is folded, and
+  // critical section: everything enqueued before this point is folded, and
   // workers cannot pick up anything enqueued after, so a racing enqueue
   // lands intact in the *next* buffer instead of being folded into an
   // accumulator that this reduce already summed-and-reset.  The same
-  // handshake is the happens-before edge that makes the strategies' plain
-  // thread-local state safe to merge here.
+  // handshake orders every worker's accumulator writes before the reads
+  // below.
   {
     util::LockGuard lock(queue_mutex_);
     drained_cv_.wait(queue_mutex_, lock, [this] {
@@ -169,18 +135,23 @@ ParallelAggregator::Reduced ParallelAggregator::reduce_and_reset_sums() {
       return queue_.empty() && inflight_ == 0;
     });
     paused_ = true;
+    ++stats_.reduces;
   }
   Reduced out;
   out.mean_delta.assign(model_size_, 0.0f);
-  // Fixed merge order (locked, morsel, striped), untouched backends
-  // skipped: a buffer folded under one strategy reduces bit-identically to
-  // a pool that only ever had that strategy, and a mid-stream switch merges
-  // each update from exactly the accumulator it was folded into.
-  for (auto& strategy : strategies_) {
-    if (strategy->touched()) strategy->merge_and_reset(out);
+  // Worker order, untouched accumulators skipped: a single-worker pool's
+  // reduce is 0 + its one accumulator.
+  for (Intermediate& acc : accumulators_) {
+    if (acc.count == 0) continue;
+    for (std::size_t i = 0; i < model_size_; ++i) {
+      out.mean_delta[i] += acc.weighted_delta[i];
+    }
+    out.weight_sum += acc.weight_sum;
+    out.count += acc.count;
+    acc.weighted_delta.assign(model_size_, 0.0f);
+    acc.weight_sum = 0.0;
+    acc.count = 0;
   }
-  stats_.on_reduce();
-  stats_.advance_window();
   {
     util::LockGuard lock(queue_mutex_);
     paused_ = false;
@@ -201,6 +172,11 @@ ParallelAggregator::Reduced ParallelAggregator::reduce_and_reset() {
 std::size_t ParallelAggregator::queued_or_inflight() const {
   util::LockGuard lock(queue_mutex_);
   return queue_.size() + inflight_;
+}
+
+AggStats ParallelAggregator::stats_snapshot() const {
+  util::LockGuard lock(queue_mutex_);
+  return stats_;
 }
 
 }  // namespace papaya::fl

@@ -10,60 +10,81 @@
 //  intermediate aggregation is hashed to choose one of the intermediate
 //  aggregates."
 //
-// This module keeps the paper's queue + worker-pool shape, but the fold
-// itself is pluggable (fl::AggregationStrategy, src/fl/agg_strategy.hpp):
-// the locked per-intermediate baseline above, a morsel-driven thread-local
-// pre-aggregation, or a striped atomic fold.  One deliberate deviation from
-// the paper's wording survives in the locked baseline: instead of hashing
-// the worker's *thread id* onto an intermediate (which gives no collision
-// guarantee — std::hash<std::thread::id> routinely mapped whole pools onto a
-// single slot, serializing every fold behind one mutex), each worker takes
-// `worker_index % num_intermediates`.  That realizes the same
-// lock-contention trick with a deterministic, guaranteed-even spread.
+// This module keeps the paper's queue + worker-pool shape and takes the
+// lock-contention trick to its limit: every worker owns one private
+// intermediate aggregate, so the fold itself takes no lock at all.  A worker
+// pops a run of queued updates under the queue lock, then folds each one
+// straight from its wire bytes (UpdateView, no ModelUpdate materialization;
+// clipping copies into a per-worker scratch buffer first) into its own
+// accumulator in FIFO order.
 //
-// When constructed with AggStrategy::kAuto, each worker re-reads the
-// AggStats window before folding a drained run and may switch the active
-// strategy (decide_strategy's table).  Switches are exact: all three
-// strategy accumulators stay alive, an update is folded into exactly one of
-// them, and reduce_and_reset() merges every touched strategy in a fixed
-// order — so mid-stream switches conserve sums bit-for-bit.
+// reduce_and_reset() quiesces the pool — waits for the queue to drain and
+// every in-flight run to finish, then pauses the workers, all under the
+// queue lock — and merges the touched accumulators in worker order.  The
+// handshake makes an update enqueued mid-reduce land in the *next* buffer,
+// and is the happens-before edge that makes the workers' unlocked
+// accumulators safe to read.  Reducers are mutually exclusive (reduce_mutex_),
+// so two concurrent reduces can never merge the same accumulator twice.
 //
-// reduce_and_reset() is safe against concurrent enqueue(): the reduce
-// quiesces the pool (drains, then pauses workers under the queue lock) so an
-// update enqueued mid-reduce lands in the *next* buffer instead of being
-// folded into an accumulator that was already summed-and-reset.
+// Exactness: a single-worker pool performs acc[i] += float(w) * x[i] over
+// its updates in arrival order, then one normalization, so its result is a
+// pure function of the enqueue sequence.  Multi-worker pools are
+// order-nondeterministic (which worker folds which update is a race);
+// conservation suites use exact-in-float values there.
 
-#include <array>
-#include <atomic>
 #include <cstdint>
 #include <deque>
-#include <functional>
-#include <memory>
 #include <thread>
 #include <vector>
 
-#include "fl/agg_strategy.hpp"
 #include "util/bytes.hpp"
 #include "util/sync.hpp"
 
 namespace papaya::fl {
 
+/// One weighted partial sum (the Sec. 6.3 "intermediate aggregate").
+struct Intermediate {
+  std::vector<float> weighted_delta;  ///< sum of w_i * delta_i
+  double weight_sum = 0.0;
+  std::size_t count = 0;
+};
+
+/// A reduced aggregation buffer.  `mean_delta` holds the weighted mean after
+/// ParallelAggregator::reduce_and_reset(), or the raw weighted sum after
+/// reduce_and_reset_sums() (cross-shard combining).
+struct AggReduced {
+  std::vector<float> mean_delta;
+  double weight_sum = 0.0;
+  std::size_t count = 0;
+};
+
+/// One queued serialized update with its precomputed weight.
+struct QueuedUpdate {
+  util::Bytes bytes;
+  double weight = 0.0;
+};
+
+/// Cumulative hot-path counters of one pool (or summed over shards).  After
+/// a drain, folded + dropped == enqueued.
+struct AggStats {
+  std::uint64_t enqueued = 0;        ///< updates pushed into the queue
+  std::uint64_t enqueued_bytes = 0;  ///< serialized bytes pushed
+  std::uint64_t folded = 0;          ///< updates folded into an accumulator
+  std::uint64_t dropped = 0;         ///< malformed updates discarded
+  std::uint64_t max_queue_depth = 0; ///< high-water queue length
+  std::uint64_t reduces = 0;         ///< reduce_and_reset calls
+};
+
 class ParallelAggregator {
  public:
-  /// `clip_norm` > 0 rescales each deserialized delta to at most that L2
-  /// norm before aggregation (per-update clipping for differential
-  /// privacy).  `drain_batch` is the number of queued updates a worker pops
-  /// per wakeup (>= 1): one queue-lock acquisition and one fold-lock
-  /// acquisition amortize over the whole run, and each popped run is folded
-  /// in FIFO order, so the folds are the same as per-update draining would
-  /// perform.  `strategy` picks the fold backend; the default keeps the
-  /// locked baseline so direct constructions behave exactly as before this
-  /// layer existed (TaskConfig-driven call sites pass kAuto).
+  /// `clip_norm` > 0 rescales each delta to at most that L2 norm before
+  /// aggregation (per-update clipping for differential privacy).
+  /// `drain_batch` is the number of queued updates a worker pops per wakeup
+  /// (>= 1): one queue-lock acquisition amortizes over the whole run, and
+  /// each popped run is folded in FIFO order, so the folds are the same as
+  /// per-update draining would perform.
   ParallelAggregator(std::size_t model_size, std::size_t num_threads,
-                     std::size_t num_intermediates, float clip_norm = 0.0f,
-                     std::size_t drain_batch = 1,
-                     AggStrategy strategy = AggStrategy::kLocked,
-                     const AggTuning& tuning = {});
+                     float clip_norm = 0.0f, std::size_t drain_batch = 1);
   ~ParallelAggregator();
 
   ParallelAggregator(const ParallelAggregator&) = delete;
@@ -72,11 +93,10 @@ class ParallelAggregator {
   /// Push one serialized update with its precomputed weight into the queue.
   void enqueue(util::Bytes serialized_update, double weight);
 
-  /// Block until the queue is drained and all in-flight work has been folded
-  /// into the active strategy's accumulators.
+  /// Block until the queue is drained and all in-flight work has been folded.
   void drain();
 
-  /// Drain, then reduce every touched strategy into (weighted mean delta,
+  /// Drain, then reduce the workers' accumulators into (weighted mean delta,
   /// total weight, count), and reset for the next buffer.
   using Reduced = AggReduced;
   Reduced reduce_and_reset();
@@ -89,62 +109,34 @@ class ParallelAggregator {
 
   std::size_t queued_or_inflight() const;
 
-  /// Change the fold backend mid-stream.  kAuto re-enables the adaptive
-  /// picker; a concrete strategy pins it.  Safe under concurrent enqueue and
-  /// fold: updates already folded under the old strategy are merged from its
-  /// accumulator at the next reduce.
-  void force_strategy(AggStrategy strategy);
-
-  /// The strategy the pool was configured with (kAuto or a forced mode).
-  AggStrategy configured_strategy() const {
-    return configured_.load(std::memory_order_relaxed);
-  }
-  /// The concrete fold backend new runs are folded with right now (never
-  /// kAuto).
-  AggStrategy active_strategy() const;
-
   /// Hot-path counters (cumulative since construction).
-  AggStatsSnapshot stats_snapshot() const { return stats_.snapshot(); }
-
-  /// The intermediate a locked-baseline pool worker folds into.
-  /// Index-based (not thread-id-hashed) so the spread over intermediates is
-  /// guaranteed even; exposed for tests documenting that guarantee.
-  static constexpr std::size_t intermediate_slot(std::size_t worker_index,
-                                                 std::size_t num_intermediates) {
-    return num_intermediates == 0 ? 0 : worker_index % num_intermediates;
-  }
+  AggStats stats_snapshot() const;
 
  private:
   void worker_loop(std::size_t worker_index);
-  static std::size_t strategy_index(AggStrategy s);
 
   const std::size_t model_size_;
-  const AggTuning tuning_;
-  std::size_t drain_batch_ = 1;
-  AggStats stats_;
-  /// The three fold backends, all alive for the pool's lifetime (morsel and
-  /// striped allocate lazily) so a mid-stream switch never moves state:
-  /// index 0 = locked, 1 = morsel, 2 = striped — also the fixed merge order
-  /// at reduce time.
-  std::array<std::unique_ptr<AggregationStrategy>, kNumFoldStrategies>
-      strategies_;
-  std::atomic<AggStrategy> configured_;
-  std::atomic<std::size_t> active_;
+  const float clip_norm_;
+  const std::size_t drain_batch_;
+  /// One private accumulator per worker, allocated on its first fold.
+  /// Written only by its worker between popping a run and retiring it from
+  /// inflight_; read and reset only by a reducer with the pool quiesced.
+  std::vector<Intermediate> accumulators_;
 
-  /// Lock hierarchy: queue_mutex_ is level 1 — workers release it before
-  /// folding into a strategy's level-0 partition lock, and the reduce path's
-  /// quiesce handshake guarantees the two levels are never held together
-  /// (see util/sync.hpp for the full hierarchy).
+  /// Lock hierarchy (util/sync.hpp): reduce_mutex_ serializes reducers and
+  /// is taken above queue_mutex_; workers take only queue_mutex_, and never
+  /// while folding.
   mutable util::Mutex queue_mutex_;
+  util::Mutex reduce_mutex_ PAPAYA_ACQUIRED_BEFORE(queue_mutex_);
   util::CondVar queue_cv_;
   util::CondVar drained_cv_;
   std::deque<QueuedUpdate> queue_ PAPAYA_GUARDED_BY(queue_mutex_);
   std::size_t inflight_ PAPAYA_GUARDED_BY(queue_mutex_) = 0;
   bool stopping_ PAPAYA_GUARDED_BY(queue_mutex_) = false;
-  /// True while reduce_and_reset() reads/resets the accumulators; workers
-  /// leave the queue untouched so mid-reduce enqueues survive into the next
-  /// buffer.
+  /// True while a reducer reads/resets the accumulators; workers leave the
+  /// queue untouched so mid-reduce enqueues survive into the next buffer.
   bool paused_ PAPAYA_GUARDED_BY(queue_mutex_) = false;
+  AggStats stats_ PAPAYA_GUARDED_BY(queue_mutex_);
 
   std::vector<std::thread> workers_;
 };

@@ -15,13 +15,11 @@ std::size_t messages_per_epoch(std::size_t goal) { return 2 * goal + 4; }
 
 SecureBufferManager::SecureBufferManager(std::size_t model_size,
                                          std::size_t goal, std::uint64_t seed,
-                                         std::size_t batch_size,
-                                         AggStrategy strategy)
+                                         std::size_t batch_size)
     : model_size_(model_size),
       goal_(goal),
       seed_(seed),
       batch_size_(batch_size == 0 ? 1 : batch_size),
-      strategy_(valid_agg_strategy(strategy) ? strategy : AggStrategy::kAuto),
       platform_(seed ^ 0x5ec9ULL),
       binary_measurement_(
           crypto::Sha256::hash(std::string("papaya-tsa-trusted-binary-v1"))) {
@@ -116,32 +114,18 @@ SecureSubmitOutcome SecureBufferManager::submit(const SecureReport& report,
     weight_sum_ += weight;
     return SecureSubmitOutcome::kAccepted;
   }
-  // Batched mode: buffer, and flush when the strategy's threshold is
-  // reached or when the flush could complete the aggregation goal.  The
-  // goal condition makes forward progress independent of the threshold: the
+  // Batched mode: buffer, and flush when a full batch is pending or when
+  // the flush could complete the aggregation goal.  The goal condition
+  // makes forward progress independent of the batch size: the
   // epoch finalizes after the same accepted contribution as per-update mode
   // would, and the aggregate is bit-identical at any flush point.
   pending_.push_back(report.contribution);
   pending_weights_.push_back(weight);
-  if (pending_.size() >= flush_threshold() ||
+  if (pending_.size() >= batch_size_ ||
       accepted_ + pending_.size() >= goal_) {
     flush_pending();
   }
   return SecureSubmitOutcome::kBuffered;
-}
-
-std::size_t SecureBufferManager::flush_threshold() const {
-  if (batch_size_ <= 1) return 1;  // sequential session: per-update verdicts
-  switch (strategy_) {
-    case AggStrategy::kLocked:
-      return 1;  // conservative baseline: surface TSA verdicts per submit
-    case AggStrategy::kMorsel:
-      return goal_;  // maximal deferral: one boundary crossing per buffer
-    case AggStrategy::kAuto:
-    case AggStrategy::kStriped:
-      break;
-  }
-  return batch_size_;  // the configured batch, as before the strategy layer
 }
 
 void SecureBufferManager::flush_pending() {

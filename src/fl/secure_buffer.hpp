@@ -21,7 +21,6 @@
 #include <optional>
 #include <vector>
 
-#include "fl/agg_strategy.hpp"
 #include "util/sync.hpp"
 #include "secagg/secagg_batch.hpp"
 #include "secagg/secagg_client.hpp"
@@ -72,17 +71,8 @@ class SecureBufferManager {
   /// The accepted set and the unmasked aggregate are bit-identical to
   /// per-update mode; only when verdicts surface changes (kBuffered now,
   /// rejections via take_rejected() after the flush).
-  ///
-  /// `strategy` (the task's aggregation strategy) tunes how aggressively
-  /// batched drains defer the TSA boundary crossing — legal precisely
-  /// because batched ≡ per-update is proven bit-identical, so the flush
-  /// point is pure amortization policy: kLocked flushes per submit (the
-  /// conservative baseline), kMorsel defers maximally (up to the goal, one
-  /// crossing per buffer), kAuto/kStriped flush at the configured
-  /// `batch_size`.  Ignored when batch_size <= 1 (sequential session).
   SecureBufferManager(std::size_t model_size, std::size_t goal,
-                      std::uint64_t seed, std::size_t batch_size = 1,
-                      AggStrategy strategy = AggStrategy::kAuto);
+                      std::uint64_t seed, std::size_t batch_size = 1);
 
   /// Server -> client: upload configuration for the current epoch.  Each
   /// call consumes one initial message (they are single-use).  Returns
@@ -116,10 +106,6 @@ class SecureBufferManager {
     return epoch_;
   }
   std::size_t batch_size() const { return batch_size_; }
-
-  /// Pending contributions that trigger a batched flush (strategy-tuned;
-  /// see the constructor).  Exposed so tests can pin the policy table.
-  std::size_t flush_threshold() const;
 
   /// Cumulative accounting across every epoch this manager has run, taken
   /// in one lock hold (test hook: the FSM harness and the SecAgg flood
@@ -176,7 +162,6 @@ class SecureBufferManager {
   std::size_t goal_;
   std::uint64_t seed_;
   std::size_t batch_size_;
-  AggStrategy strategy_ = AggStrategy::kAuto;
 
   secagg::SimulatedEnclavePlatform platform_;
   crypto::Digest binary_measurement_{};

@@ -11,37 +11,22 @@ ShardedAggregator::ShardedAggregator(const Config& config)
   if (config.model_size == 0) {
     throw std::invalid_argument("ShardedAggregator: model_size must be > 0");
   }
-  const std::size_t threads =
-      config.threads_per_shard == 0 ? 1 : config.threads_per_shard;
-  const std::size_t intermediates = config.intermediates_per_shard == 0
-                                        ? threads
-                                        : config.intermediates_per_shard;
-  if (!valid_agg_strategy(config.strategy)) {
-    throw std::invalid_argument("ShardedAggregator: unknown strategy");
-  }
   shards_.reserve(ring_.num_shards());
   for (std::size_t s = 0; s < ring_.num_shards(); ++s) {
     shards_.push_back(std::make_unique<ParallelAggregator>(
-        model_size_, threads, intermediates, config.clip_norm,
-        config.drain_batch, config.strategy, config.tuning));
+        model_size_, config.threads_per_shard, config.clip_norm,
+        config.drain_batch));
   }
 }
 
-void ShardedAggregator::force_strategy(AggStrategy strategy) {
-  for (auto& shard : shards_) shard->force_strategy(strategy);
-}
-
-AggStatsSnapshot ShardedAggregator::stats_snapshot() const {
-  AggStatsSnapshot total;
+AggStats ShardedAggregator::stats_snapshot() const {
+  AggStats total;
   for (const auto& shard : shards_) {
-    const AggStatsSnapshot s = shard->stats_snapshot();
+    const AggStats s = shard->stats_snapshot();
     total.enqueued += s.enqueued;
     total.enqueued_bytes += s.enqueued_bytes;
     total.folded += s.folded;
     total.dropped += s.dropped;
-    total.lock_acquires += s.lock_acquires;
-    total.lock_waits += s.lock_waits;
-    total.spills += s.spills;
     total.max_queue_depth = std::max(total.max_queue_depth, s.max_queue_depth);
     total.reduces += s.reduces;
   }

@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <string>
 
-#include "fl/agg_strategy.hpp"
 #include "fl/model_update.hpp"
 
 namespace papaya::fl {
@@ -49,16 +48,6 @@ struct TaskConfig {
   /// intermediates, with a cross-shard reduce at each server step.  1 (or 0,
   /// normalized to 1) keeps the single-pipeline behaviour.
   std::size_t aggregator_shards = 1;
-
-  /// Fold backend for the task's aggregation pipelines (agg_strategy.hpp).
-  /// `kAuto` (the default) lets each shard's AggStats-driven picker
-  /// re-decide per drained buffer: locked at startup, striped once the
-  /// window shows small updates, morsel-driven for large ones.  The forced
-  /// modes pin one backend (benches and the conservation hammers use them).
-  /// Like `aggregator_shards`, this changes only lock/copy traffic, never
-  /// which folds happen: every backend performs the identical per-element
-  /// fold, and single-worker pools are bit-identical across all of them.
-  AggStrategy aggregation_strategy = AggStrategy::kAuto;
 
   /// Server-side aggregation batch size.  Under SecAgg, contributions are
   /// buffered and handed to the TSA in batches of this size

@@ -13,8 +13,8 @@
 //                              checkpoint-version monotonicity under
 //                              failover/adopt/reshard (pairs with partitions)
 //   ShardedAggWorkload         update conservation across shards and
-//                              mid-stream strategy switches (pairs with
-//                              straggler storms)
+//                              concurrent reduces (pairs with straggler
+//                              storms)
 //   SecAggFloodWorkload        accept/reject accounting under malformed
 //                              floods (pairs with byzantine scenarios)
 //   EventQueueChurnWorkload    (time, tie_key, seq) total order and
@@ -124,11 +124,10 @@ class CoordinatorFailoverWorkload final : public Workload {
   std::vector<ActorSlot> slots_;
 };
 
-/// Enqueue/burst/switch-strategy/reduce/drain churn against one
-/// ShardedAggregator.  Invariants: exact update-count and integer-weight
-/// conservation across shards, concurrent reduces, and mid-stream strategy
-/// switches; per-shard enqueued == folded with nothing dropped after a
-/// quiesce drain.
+/// Enqueue/burst/reduce/drain churn against one ShardedAggregator.
+/// Invariants: exact update-count and integer-weight conservation across
+/// shards and concurrent reduces; per-shard enqueued == folded with nothing
+/// dropped after a quiesce drain.
 class ShardedAggWorkload final : public Workload {
  public:
   struct Config {

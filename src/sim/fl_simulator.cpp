@@ -95,16 +95,8 @@ FlSimulator::FlSimulator(SimulationConfig config)
   coordinator_ = std::make_unique<fl::Coordinator>(config_.seed);
   // Sharding is a task property: normalize it once here so the Coordinator,
   // the owning Aggregator's pipelines, and any failover replacement all see
-  // the same shard count.  The fold strategy is normalized the same way (an
-  // out-of-enum value falls back to adaptive); with the simulator's
-  // single-threaded pools every strategy folds each shard's queue in
-  // arrival order, so trajectories stay bit-for-bit reproducible under any
-  // strategy — forced or adaptive, switches included (the strategy
-  // equivalence suite in tests/sim_test.cpp pins this).
+  // the same shard count.
   if (config_.task.aggregator_shards == 0) config_.task.aggregator_shards = 1;
-  if (!fl::valid_agg_strategy(config_.task.aggregation_strategy)) {
-    config_.task.aggregation_strategy = fl::AggStrategy::kAuto;
-  }
   for (std::size_t i = 0; i < std::max<std::size_t>(1, config_.num_aggregators);
        ++i) {
     // Single-threaded worker pools per aggregation shard: stream-to-shard

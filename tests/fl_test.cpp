@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
-#include <set>
+#include <cstring>
+#include <limits>
 #include <thread>
 
 #include "fl/aggregator.hpp"
@@ -42,6 +44,62 @@ TEST(ModelUpdate, SerializationRoundTrip) {
   EXPECT_EQ(back.delta, u.delta);
 }
 
+util::Bytes make_update(std::uint64_t client, std::size_t size, float value,
+                        std::size_t examples = 1) {
+  ModelUpdate u;
+  u.client_id = client;
+  u.num_examples = examples;
+  u.delta.assign(size, value);
+  return u.serialize();
+}
+
+TEST(UpdateView, ParsesWireFormatBitExactly) {
+  ModelUpdate u;
+  u.client_id = 9;
+  u.initial_version = 3;
+  u.num_examples = 7;
+  u.delta = {1.5f, -2.25f, 0.0f, -0.0f, 3.14159f};
+  const util::Bytes bytes = u.serialize();
+  const auto view = UpdateView::parse(bytes, u.delta.size());
+  ASSERT_TRUE(view.has_value());
+  ASSERT_EQ(view->count, u.delta.size());
+  for (std::size_t i = 0; i < u.delta.size(); ++i) {
+    std::uint32_t expect_bits, got_bits;
+    std::memcpy(&expect_bits, &u.delta[i], 4);
+    const float got = view->at(i);
+    std::memcpy(&got_bits, &got, 4);
+    EXPECT_EQ(got_bits, expect_bits) << "element " << i;
+  }
+  std::vector<float> copied(view->count);
+  view->copy_to(copied);
+  EXPECT_EQ(copied, u.delta);
+}
+
+TEST(UpdateView, RejectsSizeMismatchAndTruncation) {
+  const util::Bytes bytes = make_update(1, 8, 1.0f);
+  EXPECT_TRUE(UpdateView::parse(bytes, 8).has_value());
+  EXPECT_FALSE(UpdateView::parse(bytes, 7).has_value());  // wrong model size
+  EXPECT_FALSE(UpdateView::parse(bytes, 9).has_value());
+  util::Bytes truncated(bytes.begin(), bytes.begin() + 40);  // mid-payload
+  EXPECT_FALSE(UpdateView::parse(truncated, 8).has_value());
+  util::Bytes header_only(bytes.begin(), bytes.begin() + 16);
+  EXPECT_FALSE(UpdateView::parse(header_only, 8).has_value());
+}
+
+TEST(UpdateView, RejectsHostileCount) {
+  // A count that matches the expected size but not the bytes behind it must
+  // be refused without the byte math overflowing (count * 4 wraps for these).
+  for (const std::uint64_t count :
+       {std::uint64_t{1} << 62, std::numeric_limits<std::uint64_t>::max()}) {
+    util::Bytes bytes = make_update(1, 2, 1.0f);
+    for (int i = 0; i < 8; ++i) {
+      bytes[24 + i] = static_cast<std::uint8_t>(count >> (8 * i));
+    }
+    EXPECT_FALSE(
+        UpdateView::parse(bytes, static_cast<std::size_t>(count)).has_value());
+  }
+}
+
 TEST(ModelUpdate, StalenessWeightFollowsPaperFormula) {
   // App. E.2: w = 1 / sqrt(1 + s).
   EXPECT_DOUBLE_EQ(staleness_weight(0), 1.0);
@@ -56,17 +114,63 @@ TEST(ModelUpdate, WeightMonotonicInExamplesAndStaleness) {
 
 // ----------------------------------------------------- Parallel aggregator --
 
-util::Bytes make_update(std::uint64_t client, std::size_t size, float value,
-                        std::size_t examples = 1) {
+/// Arbitrary (not exact-in-float) deterministic delta, for bit-identity
+/// checks: per-element values vary so permuted fold orders cannot hide.
+ModelUpdate varied_update(std::uint64_t client, std::size_t size) {
   ModelUpdate u;
   u.client_id = client;
-  u.num_examples = examples;
-  u.delta.assign(size, value);
-  return u.serialize();
+  u.num_examples = 1 + client % 5;
+  u.delta.resize(size);
+  for (std::size_t i = 0; i < size; ++i) {
+    const std::uint32_t h =
+        static_cast<std::uint32_t>(i * 2654435761u + client * 40503u);
+    u.delta[i] = 0.001f * static_cast<float>(h % 2000) - 1.0f;
+  }
+  return u;
+}
+
+/// The reference fold: acc[i] += float(w) * x[i] in FIFO order (each delta
+/// clipped first when `clip_norm` > 0).
+void reference_fold(std::vector<float>& acc, std::vector<float> delta,
+                    double weight, float clip_norm) {
+  if (clip_norm > 0.0f) ml::clip_norm(delta, clip_norm);
+  const float w = static_cast<float>(weight);
+  for (std::size_t i = 0; i < acc.size(); ++i) acc[i] += w * delta[i];
+}
+
+/// The reference normalization, applied once to the summed accumulators.
+std::vector<float> reference_mean(std::vector<float> sum, double weight_sum) {
+  const float inv = static_cast<float>(1.0 / weight_sum);
+  for (auto& v : sum) v *= inv;
+  return sum;
+}
+
+TEST(ParallelAggregator, SingleWorkerMatchesReferenceFoldBitExactly) {
+  // One worker folds in arrival order, so the pool's result is a pure
+  // function of the enqueue sequence — bit-identical to the reference,
+  // arbitrary values included, with and without clipping.
+  constexpr std::size_t kModel = 257;  // odd: exercises non-aligned tails
+  for (const float clip : {0.0f, 0.5f}) {
+    ParallelAggregator agg(kModel, /*threads=*/1, clip, /*drain_batch=*/3);
+    std::vector<float> acc(kModel, 0.0f);
+    double weight_sum = 0.0;
+    for (std::uint64_t c = 0; c < 32; ++c) {
+      const ModelUpdate u = varied_update(c, kModel);
+      const double weight = 0.25 + 0.5 * static_cast<double>(c % 4);
+      agg.enqueue(u.serialize(), weight);
+      reference_fold(acc, u.delta, weight, clip);
+      weight_sum += weight;
+    }
+    const auto reduced = agg.reduce_and_reset();
+    EXPECT_EQ(reduced.count, 32u);
+    EXPECT_EQ(reduced.weight_sum, weight_sum);
+    EXPECT_EQ(reduced.mean_delta, reference_mean(acc, weight_sum))
+        << "clip " << clip;
+  }
 }
 
 TEST(ParallelAggregator, WeightedMeanAcrossManyUpdates) {
-  ParallelAggregator agg(4, /*threads=*/4, /*intermediates=*/4);
+  ParallelAggregator agg(4, /*threads=*/4);
   // 10 updates of value i with weight i: mean = sum(i*i)/sum(i).
   double expected_num = 0.0, expected_den = 0.0;
   for (int i = 1; i <= 10; ++i) {
@@ -85,7 +189,7 @@ TEST(ParallelAggregator, WeightedMeanAcrossManyUpdates) {
 }
 
 TEST(ParallelAggregator, ResetsBetweenBuffers) {
-  ParallelAggregator agg(2, 2, 2);
+  ParallelAggregator agg(2, 2);
   agg.enqueue(make_update(1, 2, 1.0f), 1.0);
   (void)agg.reduce_and_reset();
   agg.enqueue(make_update(2, 2, 5.0f), 1.0);
@@ -95,17 +199,37 @@ TEST(ParallelAggregator, ResetsBetweenBuffers) {
 }
 
 TEST(ParallelAggregator, MalformedUpdateDropped) {
-  ParallelAggregator agg(4, 2, 2);
+  ParallelAggregator agg(4, 2);
   agg.enqueue(make_update(1, 2, 1.0f), 1.0);  // wrong size: 2 != 4
   agg.enqueue(make_update(2, 4, 3.0f), 1.0);
   const auto reduced = agg.reduce_and_reset();
   EXPECT_EQ(reduced.count, 1u);
   EXPECT_NEAR(reduced.mean_delta[0], 3.0f, 1e-6);
+  const AggStats stats = agg.stats_snapshot();
+  EXPECT_EQ(stats.dropped, 1u);
+  EXPECT_EQ(stats.folded, 1u);
+}
+
+TEST(ParallelAggregator, StatsCountersTrackTraffic) {
+  constexpr std::size_t kModel = 24;
+  ParallelAggregator agg(kModel, 1);
+  const util::Bytes update = make_update(0, kModel, 1.0f);
+  for (int i = 0; i < 6; ++i) agg.enqueue(update, 1.0);
+  agg.drain();
+  const auto reduced = agg.reduce_and_reset();
+  EXPECT_EQ(reduced.count, 6u);
+  const AggStats stats = agg.stats_snapshot();
+  EXPECT_EQ(stats.enqueued, 6u);
+  EXPECT_EQ(stats.enqueued_bytes, 6 * update.size());
+  EXPECT_EQ(stats.folded, 6u);
+  EXPECT_EQ(stats.dropped, 0u);
+  EXPECT_EQ(stats.reduces, 1u);
+  EXPECT_GE(stats.max_queue_depth, 1u);
 }
 
 TEST(ParallelAggregator, HighConcurrencyStress) {
   const std::size_t n = 2000;
-  ParallelAggregator agg(8, 8, 8);
+  ParallelAggregator agg(8, 8);
   for (std::size_t i = 0; i < n; ++i) {
     agg.enqueue(make_update(i, 8, 1.0f), 1.0);
   }
@@ -113,20 +237,6 @@ TEST(ParallelAggregator, HighConcurrencyStress) {
   EXPECT_EQ(reduced.count, n);
   EXPECT_NEAR(reduced.weight_sum, static_cast<double>(n), 1e-6);
   for (float v : reduced.mean_delta) EXPECT_NEAR(v, 1.0f, 1e-4);
-}
-
-TEST(ParallelAggregator, WorkerSlotsSpreadEvenly) {
-  // Regression: slots were picked by hashing std::thread::id, which gives no
-  // collision guarantee (whole pools landed on one intermediate, serializing
-  // every fold behind a single mutex).  Index-based slots cover every
-  // intermediate exactly evenly.
-  std::set<std::size_t> covered;
-  for (std::size_t worker = 0; worker < 8; ++worker) {
-    const std::size_t slot = ParallelAggregator::intermediate_slot(worker, 4);
-    EXPECT_EQ(slot, worker % 4);
-    covered.insert(slot);
-  }
-  EXPECT_EQ(covered.size(), 4u);
 }
 
 TEST(ParallelAggregator, EnqueueConcurrentWithReduceConservesUpdates) {
@@ -138,7 +248,7 @@ TEST(ParallelAggregator, EnqueueConcurrentWithReduceConservesUpdates) {
   constexpr std::size_t kProducers = 2;
   constexpr std::size_t kPerProducer = 250;
   constexpr std::size_t kModelSize = 8;
-  ParallelAggregator agg(kModelSize, /*threads=*/4, /*intermediates=*/4);
+  ParallelAggregator agg(kModelSize, /*threads=*/4);
 
   std::atomic<std::size_t> producers_done{0};
   std::vector<std::thread> producers;
@@ -180,8 +290,8 @@ TEST(ParallelAggregator, BatchedDrainConservesUpdatesUnderConcurrentReduce) {
   constexpr std::size_t kProducers = 2;
   constexpr std::size_t kPerProducer = 250;
   constexpr std::size_t kModelSize = 8;
-  ParallelAggregator agg(kModelSize, /*threads=*/4, /*intermediates=*/4,
-                         /*clip_norm=*/0.0f, /*drain_batch=*/7);
+  ParallelAggregator agg(kModelSize, /*threads=*/4, /*clip_norm=*/0.0f,
+                         /*drain_batch=*/7);
 
   std::atomic<std::size_t> producers_done{0};
   std::vector<std::thread> producers;
@@ -206,8 +316,8 @@ TEST(ParallelAggregator, BatchedDrainConservesUpdatesUnderConcurrentReduce) {
 TEST(ParallelAggregator, BatchedDrainMatchesPerUpdateResult) {
   // One worker, FIFO queue: a drained run folds in the same order as
   // per-update draining, so the reduced buffer is bit-identical.
-  ParallelAggregator per_update(4, 1, 1);
-  ParallelAggregator batched(4, 1, 1, 0.0f, /*drain_batch=*/5);
+  ParallelAggregator per_update(4, 1);
+  ParallelAggregator batched(4, 1, 0.0f, /*drain_batch=*/5);
   for (int i = 1; i <= 13; ++i) {
     const auto update = make_update(static_cast<std::uint64_t>(i), 4,
                                     0.1f * static_cast<float>(i));
@@ -219,6 +329,74 @@ TEST(ParallelAggregator, BatchedDrainMatchesPerUpdateResult) {
   EXPECT_EQ(a.count, b.count);
   EXPECT_DOUBLE_EQ(a.weight_sum, b.weight_sum);
   EXPECT_EQ(a.mean_delta, b.mean_delta);
+}
+
+TEST(ParallelAggregator, ConcurrentReducersConserveCountAndWeight) {
+  // Regression for the reduce-vs-reduce race: two reducers could both pass
+  // the drained wait and each add the same worker accumulators to its
+  // result before either reset them, double-counting a buffer.  Producers
+  // enqueue in bursts (so the queue runs dry and several reducers find the
+  // pool drained at once) while kReducers threads reduce in a loop; across
+  // every reduce, count, integer weight and folded mass must be conserved
+  // exactly.
+  constexpr std::size_t kModel = 256;
+  constexpr std::size_t kProducers = 2;
+  constexpr std::size_t kPerProducer = 300;
+  constexpr std::size_t kReducers = 3;
+  std::uint64_t expected_units = 0;
+  for (std::size_t id = 0; id < kProducers * kPerProducer; ++id) {
+    expected_units += 1 + id % 3;
+  }
+  for (int iteration = 0; iteration < 40; ++iteration) {
+    ParallelAggregator agg(kModel, /*threads=*/3, /*clip_norm=*/0.0f,
+                           /*drain_batch=*/2);
+    std::atomic<std::size_t> producers_done{0};
+    std::vector<std::thread> threads;
+    for (std::size_t p = 0; p < kProducers; ++p) {
+      threads.emplace_back([&, p] {
+        for (std::size_t i = 0; i < kPerProducer; ++i) {
+          const std::size_t id = p * kPerProducer + i;
+          // Unit deltas, integer weights: every partial sum is exact.
+          agg.enqueue(make_update(id, kModel, 1.0f), 1.0 + id % 3);
+          if (i % 8 == 7) {
+            std::this_thread::sleep_for(std::chrono::microseconds(50));
+          }
+        }
+        producers_done.fetch_add(1);
+      });
+    }
+    std::atomic<std::size_t> count{0};
+    std::atomic<std::uint64_t> weight_units{0};
+    std::vector<std::vector<double>> mass(kReducers,
+                                          std::vector<double>(kModel, 0.0));
+    for (std::size_t r = 0; r < kReducers; ++r) {
+      threads.emplace_back([&, r] {
+        while (producers_done.load() < kProducers) {
+          const auto part = agg.reduce_and_reset_sums();
+          count.fetch_add(part.count);
+          weight_units.fetch_add(
+              static_cast<std::uint64_t>(std::llround(part.weight_sum)));
+          for (std::size_t i = 0; i < kModel; ++i) {
+            mass[r][i] += part.mean_delta[i];
+          }
+        }
+      });
+    }
+    for (auto& t : threads) t.join();
+    const auto last = agg.reduce_and_reset_sums();
+    ASSERT_EQ(count.load() + last.count, kProducers * kPerProducer)
+        << "iteration " << iteration;
+    ASSERT_EQ(weight_units.load() +
+                  static_cast<std::uint64_t>(std::llround(last.weight_sum)),
+              expected_units)
+        << "iteration " << iteration;
+    for (std::size_t i = 0; i < kModel; ++i) {
+      double total = last.mean_delta[i];
+      for (const auto& m : mass) total += m[i];
+      ASSERT_EQ(total, static_cast<double>(expected_units))
+          << "iteration " << iteration << ", element " << i;
+    }
+  }
 }
 
 // ------------------------------------------------------ Consistent hashing --
@@ -271,7 +449,7 @@ TEST(ShardedAggregator, MatchesSingleAggregatorResult) {
   // Cross-shard conservation: the sharded reduce over any shard count must
   // equal the single-pipeline result for the same update set.
   constexpr std::size_t kModelSize = 16;
-  ParallelAggregator single(kModelSize, 2, 2);
+  ParallelAggregator single(kModelSize, 2);
   ShardedAggregator sharded(sharded_config(kModelSize, 4));
   EXPECT_EQ(sharded.num_shards(), 4u);
 
@@ -292,6 +470,37 @@ TEST(ShardedAggregator, MatchesSingleAggregatorResult) {
   for (std::size_t i = 0; i < kModelSize; ++i) {
     EXPECT_NEAR(got.mean_delta[i], expected.mean_delta[i], 1e-4);
   }
+}
+
+TEST(ShardedAggregator, SingleWorkerShardsMatchReferenceFoldBitExactly) {
+  // Single-worker shards fold each stream's updates in arrival order; the
+  // cross-shard reduce adds the shards' raw sums in shard order and
+  // normalizes once — so the result is bit-identical to that reference.
+  constexpr std::size_t kModel = 128;
+  ShardedAggregator::Config cfg;
+  cfg.model_size = kModel;
+  cfg.num_shards = 4;
+  cfg.threads_per_shard = 1;
+  cfg.drain_batch = 2;
+  ShardedAggregator sharded(cfg);
+  std::vector<std::vector<float>> shard_acc(
+      4, std::vector<float>(kModel, 0.0f));
+  double weight_sum = 0.0;
+  for (std::uint64_t c = 0; c < 64; ++c) {
+    const ModelUpdate u = varied_update(c, kModel);
+    const double weight = 1.0 + static_cast<double>(c % 3);
+    sharded.enqueue(c, u.serialize(), weight);
+    reference_fold(shard_acc[sharded.shard_for(c)], u.delta, weight, 0.0f);
+    weight_sum += weight;
+  }
+  std::vector<float> sum(kModel, 0.0f);
+  for (const auto& acc : shard_acc) {
+    for (std::size_t i = 0; i < kModel; ++i) sum[i] += acc[i];
+  }
+  const auto reduced = sharded.reduce_and_reset();
+  EXPECT_EQ(reduced.count, 64u);
+  EXPECT_EQ(reduced.weight_sum, weight_sum);
+  EXPECT_EQ(reduced.mean_delta, reference_mean(sum, weight_sum));
 }
 
 TEST(ShardedAggregator, MalformedUpdatesDroppedPerShard) {
@@ -725,6 +934,12 @@ TEST(Coordinator, TracksAndNormalizesShardCounts) {
   EXPECT_EQ(coord.task_shards("z"), 1u);
   EXPECT_EQ(a.task_shards("z"), 1u);
   EXPECT_EQ(coord.task_shards("unknown"), 0u);
+
+  // 0 must never reach the ring modulo, even when assign_task is called
+  // directly (bypassing Coordinator placement).
+  Aggregator direct("d", 1);
+  direct.assign_task(zero, std::vector<float>(4, 0.0f), {});
+  EXPECT_EQ(direct.task_shards("z"), 1u);
 }
 
 TEST(Coordinator, ShardingDoesNotSkewPlacementLoad) {
@@ -999,7 +1214,7 @@ TEST(Aggregator, DpNoisePerturbsDeterministically) {
 }
 
 TEST(ParallelAggregator, ClipNormAppliedPerUpdate) {
-  ParallelAggregator agg(2, 1, 1, /*clip_norm=*/1.0f);
+  ParallelAggregator agg(2, 1, /*clip_norm=*/1.0f);
   ModelUpdate big;
   big.client_id = 1;
   big.delta = {30.0f, 40.0f};  // norm 50 -> scaled to norm 1
@@ -1120,6 +1335,11 @@ TEST(SecureBuffer, BatchedModeMatchesPerUpdateBitForBit) {
       const auto outcome = manager->submit(*report, 1.0);
       if (is_batched) {
         EXPECT_EQ(outcome, SecureSubmitOutcome::kBuffered);
+        // Flushes when a full batch of 3 is pending (report 3), and when
+        // the flush could reach the goal (report 5: 2 accepted + 2 pending).
+        constexpr std::size_t kPendingAfter[] = {1, 2, 0, 1, 0};
+        EXPECT_EQ(manager->pending_count(), kPendingAfter[id - 1])
+            << "after report " << id;
       } else {
         EXPECT_EQ(outcome, id == 3 ? SecureSubmitOutcome::kTsaRejected
                                    : SecureSubmitOutcome::kAccepted);

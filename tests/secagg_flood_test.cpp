@@ -21,7 +21,6 @@
 #include <thread>
 #include <vector>
 
-#include "fl/agg_strategy.hpp"
 #include "fl/secure_buffer.hpp"
 
 namespace papaya::fl {
@@ -40,7 +39,7 @@ SecureReport tampered_clone(const SecureReport& report, std::size_t flip) {
 TEST(SecAggFlood, TenThousandMalformedSubmissionsCannotDriftAccounting) {
   constexpr std::size_t kMalformedTarget = 10000;
   SecureBufferManager manager(kModelSize, kGoal, /*seed=*/0xf100d,
-                              /*batch_size=*/4, AggStrategy::kAuto);
+                              /*batch_size=*/4);
   const std::vector<float> delta(kModelSize, 0.5f);
 
   std::uint64_t valid = 0;
@@ -116,7 +115,7 @@ TEST(SecAggFlood, ConcurrentFloodPreservesConservation) {
   // submits real contributions and finalizes whenever the goal is reached.
   // Interleavings vary run to run; the conservation identities may not.
   SecureBufferManager manager(kModelSize, kGoal, /*seed=*/0xf200d,
-                              /*batch_size=*/3, AggStrategy::kAuto);
+                              /*batch_size=*/3);
   const std::vector<float> delta(kModelSize, 0.25f);
 
   // One honestly prepared report per attacker to clone from (epoch 1).
