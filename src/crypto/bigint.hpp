@@ -1,10 +1,14 @@
 #pragma once
 // Arbitrary-precision unsigned integers with modular arithmetic.
 //
-// Backs the finite-field Diffie–Hellman key exchange (App. A.1).  Scope is
-// deliberately narrow: add, sub, compare, multiply, shift, divide/mod, and
-// modular exponentiation — exactly what modexp-based DH needs.  Little-endian
-// limb order (limbs_[0] is least significant).
+// Backs the finite-field Diffie–Hellman key exchange (App. A.1) and the
+// Shamir field of the SMPC baseline.  Scope is deliberately narrow: add, sub,
+// compare, multiply, shift, divide/mod, and modular exponentiation — exactly
+// what modexp-based DH needs.  Little-endian 64-bit limbs (limbs_[0] is least
+// significant).  Division is Knuth's Algorithm D over whole limbs; powmod is
+// a fixed 4-bit-window loop that multiplies in Montgomery form (CIOS) for an
+// odd modulus and with mulmod for an even one (bigint.cpp has the details).
+// Simulation-grade: not hardened against timing side channels.
 
 #include <cstdint>
 #include <span>
@@ -51,14 +55,15 @@ class BigUInt {
   BigUInt operator<<(std::size_t bits) const;
   BigUInt operator>>(std::size_t bits) const;
 
-  /// {quotient, remainder} by binary long division.
+  /// {quotient, remainder} by word-level long division (Knuth Algorithm D).
   std::pair<BigUInt, BigUInt> divmod(const BigUInt& divisor) const;
   BigUInt operator%(const BigUInt& m) const { return divmod(m).second; }
   BigUInt operator/(const BigUInt& m) const { return divmod(m).first; }
 
   /// (this * other) mod m.
   BigUInt mulmod(const BigUInt& other, const BigUInt& m) const;
-  /// this^exp mod m by square-and-multiply.
+  /// this^exp mod m by fixed 4-bit-window exponentiation (Montgomery
+  /// multiplication when m is odd).
   BigUInt powmod(const BigUInt& exp, const BigUInt& m) const;
 
   /// Uniform value in [0, bound) from a caller-supplied byte source

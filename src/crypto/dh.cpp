@@ -51,10 +51,13 @@ DhKeyPair dh_generate(const DhParams& params, DhRandom& random) {
 
 BigUInt dh_shared_element(const DhParams& params, const BigUInt& private_key,
                           const BigUInt& peer_public) {
+  // Partial public-key validation (NIST SP 800-56A): accept [2, p-2] only.
+  // 0 and p or above are out of range; 1 and p-1 generate subgroups of
+  // order 1 and 2, so they would pin the shared element.
   if (peer_public.is_zero() || peer_public >= params.p) {
     throw std::invalid_argument("dh_shared_element: public key out of range");
   }
-  if (peer_public == BigUInt(1)) {
+  if (peer_public == BigUInt(1) || peer_public == params.p - BigUInt(1)) {
     throw std::invalid_argument("dh_shared_element: degenerate public key");
   }
   return peer_public.powmod(private_key, params.p);

@@ -31,12 +31,11 @@ std::optional<ClientContribution> SecAggClient::prepare_contribution(
 
   // Complete the DH exchange (Fig. 16 step 3).
   const crypto::DhKeyPair kp = crypto::dh_generate(dh_, random_);
-  crypto::BigUInt tsa_public;
-  try {
-    tsa_public = crypto::BigUInt::from_bytes(initial_message.dh_public);
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
+  // The TSA publishes exactly one group element's width; anything else is
+  // malformed even under a valid quote.
+  if (initial_message.dh_public.size() != dh_.byte_width()) return std::nullopt;
+  const crypto::BigUInt tsa_public =
+      crypto::BigUInt::from_bytes(initial_message.dh_public);
   crypto::Digest key;
   try {
     const crypto::BigUInt shared =

@@ -60,12 +60,14 @@ TsaAccept TrustedSecureAggregator::admit_contribution(
   if (index >= private_keys_.size()) return TsaAccept::kIndexUnknown;
   if (index_consumed_[index]) return TsaAccept::kIndexConsumed;
 
-  crypto::BigUInt client_public;
-  try {
-    client_public = crypto::BigUInt::from_bytes(completing_message);
-  } catch (const std::exception&) {
+  // Exactly one group element wide: from_bytes adopts any length, so this is
+  // what bounds the enclave's work per message, and it leaves each public
+  // value a single encoding (no zero-padded aliases).
+  if (completing_message.size() != dh_.byte_width()) {
     return TsaAccept::kBadPublicKey;
   }
+  const crypto::BigUInt client_public =
+      crypto::BigUInt::from_bytes(completing_message);
 
   crypto::Digest key;
   try {

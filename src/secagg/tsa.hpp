@@ -52,7 +52,8 @@ enum class TsaAccept {
   kIndexConsumed,       ///< a completing message already used this index
   kDecryptionFailed,    ///< tampered ciphertext / wrong key (Fig. 16 step 6)
   kReleased,            ///< TSA already released; ignores further messages
-  kBadPublicKey,        ///< malformed DH completing message
+  kBadPublicKey,        ///< completing message not byte_width() wide, or
+                        ///< its value outside [2, p-2]
 };
 
 class TrustedSecureAggregator {

@@ -321,6 +321,216 @@ TEST(BigUInt, BitLength) {
   EXPECT_EQ(BigUInt::from_hex("10000000000000000").bit_length(), 65u);
 }
 
+// ------------------------------------------------------ BigUInt oracles --
+//
+// The word-level divmod (Knuth Algorithm D) and windowed Montgomery powmod
+// are cross-checked against the bit-serial algorithms they replaced, kept
+// here as reference implementations built only from the public API.
+
+std::pair<BigUInt, BigUInt> reference_divmod(const BigUInt& a, const BigUInt& d) {
+  if (a < d) return {BigUInt(), a};
+  // Shift-subtract long division, one quotient bit per step.
+  const std::size_t shift = a.bit_length() - d.bit_length();
+  BigUInt remainder = a;
+  BigUInt quotient;
+  BigUInt shifted = d << shift;
+  for (std::size_t i = shift + 1; i-- > 0;) {
+    if (remainder >= shifted) {
+      remainder = remainder - shifted;
+      quotient = quotient + (BigUInt(1) << i);
+    }
+    shifted = shifted >> 1;
+  }
+  return {quotient, remainder};
+}
+
+BigUInt reference_powmod(const BigUInt& base, const BigUInt& exp, const BigUInt& m) {
+  // Bit-by-bit left-to-right square-and-multiply.
+  const auto mulmod = [&](const BigUInt& x, const BigUInt& y) {
+    return reference_divmod(x * y, m).second;
+  };
+  const BigUInt b = reference_divmod(base, m).second;
+  BigUInt result = reference_divmod(BigUInt(1), m).second;
+  for (std::size_t i = exp.bit_length(); i-- > 0;) {
+    result = mulmod(result, result);
+    if (exp.bit(i)) result = mulmod(result, b);
+  }
+  return result;
+}
+
+/// Little-endian limbs to a BigUInt.
+BigUInt from_limbs(std::initializer_list<std::uint64_t> limbs) {
+  BigUInt out;
+  std::size_t i = 0;
+  for (std::uint64_t limb : limbs) out = out + (BigUInt(limb) << (64 * i++));
+  return out;
+}
+
+/// `limbs` random limbs; about two in three are drawn from values that
+/// stress quotient estimation (0, 1, all-ones, top bit only, ...).
+BigUInt structured_operand(util::Rng& rng, std::size_t limbs) {
+  static constexpr std::uint64_t kPatterns[] = {
+      0, 1, ~0ULL, 0x8000000000000000ULL, 0x7fffffffffffffffULL, ~1ULL};
+  BigUInt out;
+  for (std::size_t i = 0; i < limbs; ++i) {
+    const std::uint64_t limb = rng.uniform_int(3) == 0
+                                   ? rng.next()
+                                   : kPatterns[rng.uniform_int(std::size(kPatterns))];
+    out = out + (BigUInt(limb) << (64 * i));
+  }
+  return out;
+}
+
+void expect_divmod_matches_reference(const BigUInt& a, const BigUInt& d) {
+  const auto [q, r] = a.divmod(d);
+  const auto [q_ref, r_ref] = reference_divmod(a, d);
+  EXPECT_EQ(q, q_ref) << a.to_hex() << " / " << d.to_hex();
+  EXPECT_EQ(r, r_ref) << a.to_hex() << " % " << d.to_hex();
+}
+
+TEST(BigUIntOracle, DivmodMatchesShiftSubtractOnRandomOperands) {
+  util::Rng rng(1301);
+  for (int iter = 0; iter < 400; ++iter) {
+    const BigUInt a = structured_operand(rng, 1 + rng.uniform_int(48));
+    BigUInt d = structured_operand(rng, 1 + rng.uniform_int(24));
+    if (d.is_zero()) d = BigUInt(1);
+    expect_divmod_matches_reference(a, d);
+  }
+}
+
+TEST(BigUIntOracle, DivmodCorrectionAndAddBackEdges) {
+  const std::uint64_t top = 0x8000000000000000ULL;
+  const std::uint64_t ones = ~0ULL;
+  // Each of the first three takes Algorithm D's add-back step (the 64-bit
+  // analogues of the classic 32-bit divmnu test vectors).
+  expect_divmod_matches_reference(from_limbs({3, 0, top}),
+                                  from_limbs({1, 0, 0x2000000000000000ULL}));
+  expect_divmod_matches_reference(from_limbs({0, 0, top, 0x7fffffffffffffffULL}),
+                                  from_limbs({1, 0, top}));
+  expect_divmod_matches_reference(from_limbs({0, ~1ULL, 0, top}),
+                                  from_limbs({ones, 0, top}));
+  // q̂ overestimates that the second-limb test corrects.
+  expect_divmod_matches_reference(from_limbs({0, ~1ULL, 0, top}),
+                                  from_limbs({ones, top}));
+  expect_divmod_matches_reference(from_limbs({ones, ones, ones, ones}),
+                                  from_limbs({ones, top}));
+  // All-ones dividends over divisors with a lone top bit.
+  for (std::size_t n = 1; n <= 6; ++n) {
+    const BigUInt all_ones = (BigUInt(1) << (64 * 4 * n)) - BigUInt(1);
+    const BigUInt top_only = BigUInt(top) << (64 * (n - 1));
+    expect_divmod_matches_reference(all_ones, top_only);
+    expect_divmod_matches_reference(all_ones, top_only + BigUInt(1));
+    expect_divmod_matches_reference(all_ones, all_ones >> (64 * 3 * n));
+  }
+  // divisor · 2^(64k) − 1: every quotient limb is the all-ones maximum but
+  // the last, and the remainder is divisor − 1 shifted up.
+  util::Rng rng(1302);
+  for (int iter = 0; iter < 40; ++iter) {
+    BigUInt d = structured_operand(rng, 1 + rng.uniform_int(24));
+    if (d.is_zero()) d = BigUInt(top);
+    const std::size_t k = 1 + rng.uniform_int(24);
+    expect_divmod_matches_reference((d << (64 * k)) - BigUInt(1), d);
+  }
+  // Divisor equal to, one above and one below the dividend.
+  const BigUInt a = from_limbs({5, ones, top});
+  EXPECT_EQ(a.divmod(a), std::make_pair(BigUInt(1), BigUInt()));
+  EXPECT_EQ(a.divmod(a + BigUInt(1)), std::make_pair(BigUInt(), a));
+  EXPECT_EQ(a.divmod(a - BigUInt(1)), std::make_pair(BigUInt(1), BigUInt(1)));
+}
+
+TEST(BigUIntOracle, PowmodMatchesSquareAndMultiply) {
+  util::Rng rng(1303);
+  for (int iter = 0; iter < 60; ++iter) {
+    const std::size_t limbs = 1 + rng.uniform_int(5);
+    BigUInt m = structured_operand(rng, limbs) + BigUInt(2);
+    // Alternate odd (Montgomery) and even (mulmod) moduli.
+    if (m.bit(0) != (iter % 2 == 0)) m = m + BigUInt(1);
+    const BigUInt base = structured_operand(rng, 1 + rng.uniform_int(2 * limbs));
+    const BigUInt exp = structured_operand(rng, 1 + rng.uniform_int(limbs));
+    EXPECT_EQ(base.powmod(exp, m), reference_powmod(base, exp, m))
+        << base.to_hex() << " ^ " << exp.to_hex() << " mod " << m.to_hex();
+  }
+}
+
+TEST(BigUIntOracle, PowmodEdgeOperands) {
+  const BigUInt odd = from_limbs({0x1234567890abcdefULL, 0xfedcba0987654321ULL});
+  const BigUInt even = odd + BigUInt(1);
+  const BigUInt exp = from_limbs({0xdeadbeefcafef00dULL, 3});
+  for (const BigUInt& m : {odd, even}) {
+    // m = 1 makes everything zero, even x^0.
+    EXPECT_EQ(odd.powmod(exp, BigUInt(1)), BigUInt());
+    EXPECT_EQ(odd.powmod(BigUInt(), BigUInt(1)), BigUInt());
+    // exp = 0 gives 1, including 0^0.
+    EXPECT_EQ(odd.powmod(BigUInt(), m), BigUInt(1));
+    EXPECT_EQ(BigUInt().powmod(BigUInt(), m), BigUInt(1));
+    // base = 0 and base a multiple of m give 0.
+    EXPECT_EQ(BigUInt().powmod(exp, m), BigUInt());
+    EXPECT_EQ((m * BigUInt(7)).powmod(exp, m), BigUInt());
+    // base >= m reduces first.
+    const BigUInt big_base = m * m + BigUInt(12345);
+    EXPECT_EQ(big_base.powmod(exp, m), reference_powmod(big_base, exp, m));
+    EXPECT_EQ((m - BigUInt(1)).powmod(exp, m), reference_powmod(m - BigUInt(1), exp, m));
+    // Every exponent length modulo the window width.
+    for (std::uint64_t e = 1; e <= 17; ++e) {
+      EXPECT_EQ(BigUInt(3).powmod(BigUInt(e), m), reference_powmod(BigUInt(3), BigUInt(e), m));
+    }
+  }
+  EXPECT_THROW(BigUInt(2).powmod(BigUInt(3), BigUInt()), std::domain_error);
+}
+
+TEST(BigUIntOracle, PowmodFixedVectorsSimulation256) {
+  const BigUInt& p = DhParams::simulation256().p;
+  const BigUInt e = BigUInt::from_hex(
+      "78e74321f6e4bc9fc794693b714234b1de0614889684388f843605f075b900c1");
+  EXPECT_EQ(BigUInt(5).powmod(e, p).to_hex(),
+            "5f5597af02e05e227010e65584b9ccb0dd7cbc958c729d08fd23f9520c9bd1fc");
+  // A 512-bit base, reduced before exponentiation.
+  const BigUInt base = BigUInt::from_hex(
+      "aa2ff4fe622a1734e0390a07f9467ad70b4a487cc13c006babec708f97396d7c"
+      "aa2ff4fe622a1734e0390a07f9467ad70b4a487cc13c006babec708f97396d7c");
+  EXPECT_EQ(base.powmod(e, p).to_hex(),
+            "e2586bfe091a343e7634390337cf9fc8c0374790fdcdef8b71ac06cce861f434");
+}
+
+TEST(BigUIntOracle, PowmodFixedVectorsRfc3526) {
+  const BigUInt& p = DhParams::rfc3526_1536().p;
+  const BigUInt e = BigUInt::from_hex(
+      "78e74321f6e4bc9fc794693b714234b1de0614889684388f843605f075b900c1");
+  EXPECT_EQ(BigUInt(2).powmod(e, p).to_hex(),
+            "a3cf56690a9c6c7f9d38a63a2d08047f1197e2afc43eb2fac8c60a7797fda052"
+            "a022786c14d0d64e7675b222eb809e067970fc648fec56b6864b807f42e202d4"
+            "4bed8371ad1940241be256e3d3226247f9258edcaf738f1c31913020ede14796"
+            "19ead774a441ed277af0d1c52fd75dc35243d4c61bc10231dbee1e92224e6d49"
+            "10a734924ace8e7c4ecdd7c59c099d4d7df8ea11576163abf4fcf55d726adfb6"
+            "c4e9c9d437a98bead0969f56ac33efb3afe7db6f9f134809d7a96674a2ab853e");
+  // A full-width exponent with a closed form: 2^(p-2) = 2^-1 = (p+1)/2.
+  EXPECT_EQ(BigUInt(2).powmod(p - BigUInt(2), p), (p + BigUInt(1)) >> 1);
+}
+
+TEST(BigUIntOracle, PowmodFixedVectorsShamirPrime) {
+  const BigUInt p = (BigUInt(1) << 130) - BigUInt(5);
+  EXPECT_EQ(BigUInt(123456789).powmod(p - BigUInt(2), p).to_hex(),
+            "3443f3d6b14b1a4829bed4bc05b539f88");
+  EXPECT_EQ(BigUInt::from_hex("10534ce7641c39056e0c398ec8fe913f")
+                .powmod(p - BigUInt(2), p)
+                .to_hex(),
+            "c425772641f20ffff6f26669bb1c09c8");
+}
+
+TEST(BigUIntOracle, DhHandshakeMatchesBitSerialImplementation) {
+  // Keys and shared secrets recorded with the bit-serial powmod: the
+  // word-level arithmetic must reproduce them exactly.
+  const DhParams& params = DhParams::simulation256();
+  const Bytes seed_a(32, 0xaa), seed_b(32, 0xbb);
+  DhRandom ra(seed_a), rb(seed_b);
+  const DhKeyPair alice = dh_generate(params, ra);
+  const DhKeyPair bob = dh_generate(params, rb);
+  EXPECT_EQ(alice.public_key.to_hex(),
+            "55dba5d0e111cc6d01ca015eeebfc83c70d3b067c9e734eff3f3e7fb1ebca491");
+  EXPECT_EQ(dh_shared_element(params, alice.private_key, bob.public_key).to_hex(),
+            "6d1605e529002349247a3d6928f16626bfbcaf92bb703840c7a36a430b8931f6");
+}
+
 // --------------------------------------------------------------------- DH --
 
 TEST(Dh, SharedSecretAgreement) {
@@ -367,6 +577,8 @@ TEST(Dh, RejectsDegeneratePublicKeys) {
   EXPECT_THROW(dh_shared_element(params, kp.private_key, BigUInt(1)),
                std::invalid_argument);
   EXPECT_THROW(dh_shared_element(params, kp.private_key, params.p),
+               std::invalid_argument);
+  EXPECT_THROW(dh_shared_element(params, kp.private_key, params.p - BigUInt(1)),
                std::invalid_argument);
 }
 

@@ -436,6 +436,77 @@ TEST(Protocol, ClientAbortsOnTamperedInitialMessage) {
   EXPECT_FALSE(contribution.has_value());
 }
 
+TEST(Protocol, MalformedCompletingMessagesAreBadPublicKeys) {
+  // Every completing message that is not exactly one group element wide, or
+  // whose value lies outside [2, p-2], gets kBadPublicKey without consuming
+  // the index, on both the single and the batched path.
+  const std::size_t length = 8;
+  ProtocolWorld world(length, 1, 4);
+  const auto c = world.client_contribution(0, std::vector<float>(length, 0.5f));
+  ASSERT_TRUE(c.has_value());
+  const std::size_t width = world.dh.byte_width();
+  ASSERT_EQ(width, 32u);
+  const crypto::BigUInt& p = world.dh.p;
+  util::Bytes padded{0x00};  // same value as the genuine message, 33 bytes
+  padded.insert(padded.end(), c->completing_message.begin(),
+                c->completing_message.end());
+  const std::vector<std::pair<std::string, util::Bytes>> malformed = {
+      {"empty", {}},
+      {"31 bytes", util::Bytes(c->completing_message.begin() + 1,
+                               c->completing_message.end())},
+      {"33 bytes", padded},
+      {"1 MiB", util::Bytes(std::size_t{1} << 20, 0x5a)},
+      {"0", crypto::BigUInt(0).to_bytes(width)},
+      {"1", crypto::BigUInt(1).to_bytes(width)},
+      {"p-1", (p - crypto::BigUInt(1)).to_bytes(width)},
+      {"p", p.to_bytes(width)},
+      {"2^256-1", util::Bytes(width, 0xff)},
+  };
+  for (const auto& [name, message] : malformed) {
+    EXPECT_EQ(world.tsa->process_contribution(c->message_index, message,
+                                              c->sealed_seed, c->message_index),
+              TsaAccept::kBadPublicKey)
+        << name;
+    const TrustedSecureAggregator::ContributionRef ref{
+        c->message_index, message, &c->sealed_seed, c->message_index};
+    EXPECT_EQ(world.tsa->process_contributions(std::span(&ref, 1)),
+              std::vector<TsaAccept>{TsaAccept::kBadPublicKey})
+        << name;
+  }
+  EXPECT_EQ(world.tsa->accepted_count(), 0u);
+  EXPECT_EQ(world.tsa->process_contribution(c->message_index,
+                                            c->completing_message,
+                                            c->sealed_seed, c->message_index),
+            TsaAccept::kAccepted);
+}
+
+TEST(Protocol, ClientAbortsOnWrongWidthInitialMessage) {
+  // An attested initial message whose DH value is not one group element
+  // wide is malformed even though its quote verifies: here the genuine
+  // value with one byte of zero padding, which denotes the same integer.
+  const std::size_t length = 8;
+  ProtocolWorld world(length, 1, 4);
+  TsaInitialMessage padded = world.tsa->initial_messages().at(0);
+  padded.dh_public.insert(padded.dh_public.begin(), 0x00);
+  padded.quote = world.platform.sign_quote(
+      world.binary, world.expectations.expected_params_hash,
+      crypto::Sha256::hash(padded.dh_public));
+  SecAggClient client(world.dh, world.fp, 0);
+  EXPECT_FALSE(client
+                   .prepare_contribution(world.platform, world.expectations,
+                                         padded, world.binary_proof,
+                                         std::vector<float>(length, 0.5f))
+                   .has_value());
+  // The same value at the right width, under its own quote, is accepted.
+  SecAggClient control(world.dh, world.fp, 0);
+  EXPECT_TRUE(control
+                  .prepare_contribution(world.platform, world.expectations,
+                                        world.tsa->initial_messages().at(0),
+                                        world.binary_proof,
+                                        std::vector<float>(length, 0.5f))
+                  .has_value());
+}
+
 TEST(Protocol, DropoutsDoNotBlockOthers) {
   // Client independence: clients 0 and 2 complete, client 1 vanishes after
   // masking (its contribution never reaches the server).  Aggregation over
