@@ -1,18 +1,16 @@
-// Microbenchmarks for the discrete-event engine hot path (ISSUE 10): the
-// steady-state schedule→pop→dispatch cycle that a 10M-device population
-// executes hundreds of millions of times per run.
+// Microbenchmarks for the discrete-event engine hot path: the steady-state
+// schedule→pop→dispatch cycle that a 10M-device population executes
+// hundreds of millions of times per run.
 //
 // BM_EventSchedule measures the POD event record (32 bytes, zero-alloc:
-// tests/event_engine_test.cpp proves the allocation count) on each backend;
-// BM_EventScheduleClosure runs the identical workload through the pooled
-// std::function fallback so the dispatch-table win is a visible row pair in
-// BENCH_micro_event_queue.json.
+// tests/event_engine_test.cpp proves the allocation count) on each backend
+// (arg 0 = heap, 1 = calendar).
 //
 // The workload mirrors the simulator's check-in/backoff churn: constant
 // pending size (512), deterministic cyclic delays of 1.0–4.75 s, every pop
 // immediately rescheduling its event.  Constant occupancy keeps the
-// calendar between its resize thresholds and the wheel's rings periodic, so
-// the numbers reflect the per-event cost, not resize amortization.
+// calendar between its resize thresholds, so the numbers reflect the
+// per-event cost, not resize amortization.
 
 #include <benchmark/benchmark.h>
 
@@ -58,8 +56,8 @@ void BM_EventSchedule(benchmark::State& state) {
   ReschedulerCtx ctx{&q};
   q.set_dispatcher(&reschedule_dispatch, &ctx);
   seed_queue_pod(q);
-  // Warm past the wheel's level-1 ring revolution / the calendar's final
-  // ring width so bucket capacities reach their periodic high-water marks.
+  // Warm past the calendar's final ring width so bucket capacities reach
+  // their periodic high-water marks.
   for (int i = 0; i < kWarmupPops; ++i) q.step();
   for (auto _ : state) {
     benchmark::DoNotOptimize(q.step());
@@ -69,33 +67,6 @@ void BM_EventSchedule(benchmark::State& state) {
 BENCHMARK(BM_EventSchedule)
     ->Arg(static_cast<int>(EventQueueBackend::kHeap))
     ->Arg(static_cast<int>(EventQueueBackend::kCalendar))
-    ->Arg(static_cast<int>(EventQueueBackend::kWheel))
-    ->Unit(benchmark::kNanosecond);
-
-/// The same cycle through the legacy closure API (pool slot + std::function
-/// move per event) — the baseline the POD record replaced.
-void BM_EventScheduleClosure(benchmark::State& state) {
-  const auto backend = static_cast<EventQueueBackend>(state.range(0));
-  EventQueue q(backend);
-  std::uint64_t pops = 0;
-  std::function<void(double)> resched = [&](double) {
-    const double delay = 1.0 + 0.25 * static_cast<double>(pops % 16);
-    ++pops;
-    q.schedule_in(delay, [&](double t) { resched(t); });
-  };
-  for (std::uint32_t i = 0; i < kPending; ++i) {
-    q.schedule_at(0.01 * static_cast<double>(i), [&](double t) { resched(t); });
-  }
-  for (int i = 0; i < kWarmupPops; ++i) q.step();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(q.step());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_EventScheduleClosure)
-    ->Arg(static_cast<int>(EventQueueBackend::kHeap))
-    ->Arg(static_cast<int>(EventQueueBackend::kCalendar))
-    ->Arg(static_cast<int>(EventQueueBackend::kWheel))
     ->Unit(benchmark::kNanosecond);
 
 /// Cold bulk load: push kPending fresh events into an empty queue and drain
@@ -119,7 +90,6 @@ void BM_EventBulkLoadDrain(benchmark::State& state) {
 BENCHMARK(BM_EventBulkLoadDrain)
     ->Arg(static_cast<int>(EventQueueBackend::kHeap))
     ->Arg(static_cast<int>(EventQueueBackend::kCalendar))
-    ->Arg(static_cast<int>(EventQueueBackend::kWheel))
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

@@ -714,9 +714,23 @@ void SecAggFloodWorkload::check_quiesce(std::uint64_t step,
 // ---------------------------------------------------------------------------
 
 EventQueueChurnWorkload::EventQueueChurnWorkload(
-    std::size_t actors, sim::EventQueueBackend backend)
+    sim::EventQueueBackend backend)
     : queue_(backend) {
-  (void)actors;  // all bookkeeping is atomic totals
+  queue_.set_dispatcher(&EventQueueChurnWorkload::on_pop, this);
+}
+
+void EventQueueChurnWorkload::on_pop(void* ctx, sim::EventKind,
+                                     std::uint32_t actor, std::uint32_t,
+                                     double now) {
+  // Runs only on the quiesce thread's drain, single file.
+  auto* self = static_cast<EventQueueChurnWorkload*>(ctx);
+  self->popped_.fetch_add(1, std::memory_order_relaxed);
+  if (now < self->last_pop_time_ ||
+      (now == self->last_pop_time_ && actor < self->last_pop_key_)) {
+    self->order_violations_.fetch_add(1, std::memory_order_relaxed);
+  }
+  self->last_pop_time_ = now;
+  self->last_pop_key_ = actor;
 }
 
 void EventQueueChurnWorkload::schedule_one(StepContext& ctx, double delay) {
@@ -725,19 +739,10 @@ void EventQueueChurnWorkload::schedule_one(StepContext& ctx, double delay) {
   // common — exactly the case the (time, tie_key) order must survive.  The
   // tie key is the actor id: the documented schedule-race-independent
   // ordering among simultaneous events.
-  const std::uint64_t key = ctx.actor;
+  const auto actor = static_cast<std::uint32_t>(ctx.actor);
   scheduled_.fetch_add(1, std::memory_order_relaxed);
-  queue_.schedule_at(
-      queue_.now() + delay, key, [this, key](double t) {
-        popped_.fetch_add(1, std::memory_order_relaxed);
-        // Runs only on the quiesce thread's drain, single file.
-        if (t < last_pop_time_ ||
-            (t == last_pop_time_ && key < last_pop_key_)) {
-          order_violations_.fetch_add(1, std::memory_order_relaxed);
-        }
-        last_pop_time_ = t;
-        last_pop_key_ = key;
-      });
+  queue_.schedule_event_at(queue_.now() + delay, actor, /*kind=*/0, actor,
+                           /*payload=*/0);
 }
 
 std::vector<StateDef> EventQueueChurnWorkload::states() {
@@ -757,8 +762,7 @@ std::vector<StateDef> EventQueueChurnWorkload::states() {
                     transitions});
 
   // Far-future events force the calendar backend through its sparse-year
-  // jump and resize paths, and the wheel backend through its coarse levels
-  // and cascades.
+  // jump and resize paths.
   states.push_back({"far",
                     [this](StepContext& ctx) {
                       const double delay =
@@ -799,13 +803,13 @@ void EventQueueChurnWorkload::check_quiesce(std::uint64_t step,
   if (queue_.now() > 0.5) {
     bool threw = false;
     try {
-      queue_.schedule_at(queue_.now() - 0.5, [](double) {});
+      queue_.schedule_event_at(queue_.now() - 0.5, 0, 0, 0, 0);
     } catch (const std::invalid_argument&) {
       threw = true;
     }
     if (!threw) {
       invariants.fail(name(), 0, step,
-                      "schedule_at accepted a past timestamp");
+                      "schedule_event_at accepted a past timestamp");
     }
   }
 

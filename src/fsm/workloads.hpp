@@ -200,12 +200,14 @@ class SecAggFloodWorkload final : public Workload {
 /// reference heap (and the TSan leg sees both).  Actors hammer the
 /// thread-safe scheduling surface — near/far/equal-time bursts with
 /// per-actor tie keys — while pops happen only at quiesce (step() is
-/// single-driver by contract).  Invariants: a quiesce drain pops in the
-/// documented ascending (time, tie_key) order, schedule_at rejects past
-/// timestamps, and scheduled == popped with the queue empty after a drain.
+/// single-driver by contract).  Each event carries its actor as both tie
+/// key and entity, so the static dispatcher can check the drain order.
+/// Invariants: a quiesce drain pops in the documented ascending
+/// (time, tie_key) order, schedule_event_at rejects past timestamps, and
+/// scheduled == popped with the queue empty after a drain.
 class EventQueueChurnWorkload final : public Workload {
  public:
-  EventQueueChurnWorkload(std::size_t actors, sim::EventQueueBackend backend);
+  explicit EventQueueChurnWorkload(sim::EventQueueBackend backend);
 
   std::string name() const override { return "event_queue_churn"; }
   std::string initial_state() const override { return "near"; }
@@ -215,13 +217,16 @@ class EventQueueChurnWorkload final : public Workload {
 
  private:
   void schedule_one(StepContext& ctx, double delay);
+  /// The queue's dispatcher (ctx = this): entity is the scheduling actor.
+  static void on_pop(void* ctx, sim::EventKind kind, std::uint32_t actor,
+                     std::uint32_t payload, double now);
 
   sim::EventQueue queue_;
   std::atomic<std::uint64_t> scheduled_{0};
   std::atomic<std::uint64_t> popped_{0};
   std::atomic<std::uint64_t> order_violations_{0};
-  /// Drain cursor — touched only by event functions, which run solely on
-  /// the quiesce thread (actors never pump the queue).
+  /// Drain cursor — touched only by on_pop, which runs solely on the
+  /// quiesce thread (actors never pump the queue).
   double last_pop_time_ = -1.0;
   std::uint64_t last_pop_key_ = 0;
 };

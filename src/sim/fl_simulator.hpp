@@ -87,11 +87,9 @@ struct SimulationConfig {
   std::size_t num_selectors = 2;
   std::uint64_t seed = 1;
 
-  /// Event-queue backend (sim/event_queue.hpp): the binary heap (default),
-  /// the amortized-O(1) calendar queue for million-device populations, or
-  /// the hierarchical timing wheel.  Pop order is identical across all
-  /// three, so this is a pure perf knob; the PAPAYA_EVENT_QUEUE env var
-  /// overrides it (resolved at construction).
+  /// Event-queue backend (sim/event_queue.hpp): the binary heap (default)
+  /// or the amortized-O(1) calendar queue for million-device populations.
+  /// Pop order is identical on both, so this is a pure perf knob.
   EventQueueBackend event_queue = EventQueueBackend::kHeap;
 
   /// Streaming-metrics memory policy.  Defaults keep the historical
@@ -207,9 +205,9 @@ class FlSimulator {
   /// Event kinds for the POD scheduling path (sim/event_queue.hpp).  Every
   /// recurring simulation event is one of these — scheduled as a
   /// (kind, device, generation) triple, no closure, no allocation — and
-  /// dispatch_event below is the queue's single dispatcher.  Kind 0 is the
-  /// queue's reserved pooled-closure kind; the simulator itself schedules
-  /// no closures on its hot path.
+  /// dispatch_event below is the queue's single dispatcher.  The queue
+  /// attaches no meaning to kind values (0 is as valid as any); 0 is
+  /// simply unused here.
   enum class SimEvent : EventKind {
     kCheckIn = 1,           ///< entity = device
     kDropout = 2,           ///< entity = device, payload = generation
@@ -219,13 +217,11 @@ class FlSimulator {
     kAggregatorFailure = 6, ///< injected failure (App. E.4)
   };
   /// The queue dispatcher: a plain function pointer (ctx = this) fanning
-  /// out to the handle_* methods.  Runs outside the queue lock, exactly
-  /// like the closures it replaced.
+  /// out to the handle_* methods.  Runs outside the queue lock.
   static void dispatch_event(void* ctx, EventKind kind, std::uint32_t entity,
                              std::uint32_t payload, double now);
-  /// Schedule one POD simulation event `delay` seconds out (tie_key 0 —
-  /// the same FIFO tie-break the closure path used, so the refactor cannot
-  /// reorder simultaneous events).
+  /// Schedule one POD simulation event `delay` seconds out (tie_key 0, so
+  /// simultaneous events pop FIFO).
   void schedule_sim_event_in(double delay, SimEvent kind, std::size_t device,
                              std::uint32_t generation = 0);
 

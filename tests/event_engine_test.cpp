@@ -1,16 +1,15 @@
-// The event-engine acceptance suite for the POD event record (ISSUE 10):
+// The event-engine acceptance suite for the POD event record:
 //
 //   1. the 32-byte record dispatches through the per-queue dispatcher with
-//      kind/entity/payload intact, in the documented total order, on every
-//      backend, interleaved freely with pooled closures;
+//      kind/entity/payload intact — every kind 0..255 — in the documented
+//      total order, on every backend;
 //   2. steady-state scheduling is allocation-free — proven by a global
 //      operator new/delete counter, not by inspection — at the queue level
 //      (strict zero) and through the simulator's participation hot path
 //      (allocations must not scale with events processed);
 //   3. the enum-dispatch refactor of FlSimulator preserved trajectories
 //      bit-for-bit: the fig9-style async config reproduces fingerprints
-//      captured from the pre-refactor closure scheduler, on all three
-//      backends.
+//      captured from the pre-refactor closure scheduler, on both backends.
 //
 // This file owns the binary-wide operator new/delete replacement, so it
 // must stay its own test executable.
@@ -68,21 +67,20 @@ void record_dispatch(void* ctx, EventKind kind, std::uint32_t entity,
 
 TEST(EventEngine, EveryKindRoundTripsThroughDispatchOnEveryBackend) {
   for (const auto backend :
-       {EventQueueBackend::kHeap, EventQueueBackend::kCalendar,
-        EventQueueBackend::kWheel}) {
+       {EventQueueBackend::kHeap, EventQueueBackend::kCalendar}) {
     EventQueue q(backend);
     std::vector<Recorded> seen;
     q.set_dispatcher(&record_dispatch, &seen);
-    // All 255 usable kinds, distinct entities and payloads, ascending times.
-    for (unsigned k = 1; k <= 255; ++k) {
+    // All 256 kinds, distinct entities and payloads, ascending times.
+    for (unsigned k = 0; k <= 255; ++k) {
       q.schedule_event_at(0.5 * static_cast<double>(k), /*tie_key=*/0,
                           static_cast<EventKind>(k), 1000u + k, 7u * k);
     }
     while (q.step()) {
     }
-    ASSERT_EQ(seen.size(), 255u);
-    for (unsigned k = 1; k <= 255; ++k) {
-      const Recorded& r = seen[k - 1];
+    ASSERT_EQ(seen.size(), 256u);
+    for (unsigned k = 0; k <= 255; ++k) {
+      const Recorded& r = seen[k];
       EXPECT_EQ(r.kind, static_cast<EventKind>(k));
       EXPECT_EQ(r.entity, 1000u + k);
       EXPECT_EQ(r.payload, 7u * k);
@@ -91,46 +89,44 @@ TEST(EventEngine, EveryKindRoundTripsThroughDispatchOnEveryBackend) {
   }
 }
 
-TEST(EventEngine, PodAndClosureEventsInterleaveInArrivalOrder) {
-  // The pooled-closure fallback shares the (time, tie_key, seq) order with
-  // POD events: at one timestamp, mixed-API events pop in schedule order.
+TEST(EventEngine, MixedKindsInterleaveInArrivalOrder) {
+  // Kind plays no part in the (time, tie_key, seq) order: at one timestamp,
+  // events of different kinds (kind 0 included) pop in schedule order.
   for (const auto backend :
-       {EventQueueBackend::kHeap, EventQueueBackend::kCalendar,
-        EventQueueBackend::kWheel}) {
+       {EventQueueBackend::kHeap, EventQueueBackend::kCalendar}) {
     EventQueue q(backend);
-    std::vector<int> order;
-    struct Ctx {
-      std::vector<int>* order;
-    } ctx{&order};
-    q.set_dispatcher(
-        [](void* c, EventKind, std::uint32_t entity, std::uint32_t,
-           double) {
-          static_cast<Ctx*>(c)->order->push_back(static_cast<int>(entity));
-        },
-        &ctx);
-    q.schedule_at(1.0, [&order](double) { order.push_back(0); });
+    std::vector<Recorded> seen;
+    q.set_dispatcher(&record_dispatch, &seen);
+    q.schedule_event_at(1.0, 0, EventKind{0}, 0, 0);
     q.schedule_event_at(1.0, 0, EventKind{9}, 1, 0);
-    q.schedule_at(1.0, [&order](double) { order.push_back(2); });
+    q.schedule_event_in(1.0, 0, EventKind{0}, 2, 0);
     q.schedule_event_at(1.0, 0, EventKind{9}, 3, 0);
     while (q.step()) {
     }
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+    ASSERT_EQ(seen.size(), 4u);
+    for (std::uint32_t i = 0; i < 4; ++i) {
+      EXPECT_EQ(seen[i].entity, i);
+      EXPECT_EQ(seen[i].kind, static_cast<EventKind>(i % 2 == 0 ? 0 : 9));
+    }
   }
 }
 
-TEST(EventEngine, KindZeroIsReservedAndRejected) {
-  EventQueue q;
-  EXPECT_THROW(q.schedule_event_at(1.0, 0, EventQueue::kClosureKind, 0, 0),
-               std::invalid_argument);
-  EXPECT_THROW(q.schedule_event_in(1.0, 0, EventQueue::kClosureKind, 0, 0),
-               std::invalid_argument);
-  EXPECT_TRUE(q.empty());
-}
-
 TEST(EventEngine, PoppingPodEventWithoutDispatcherThrows) {
+  // The dispatcher check happens before the pop: the throwing step() must
+  // leave the event queued and the clock and counters untouched, so the
+  // caller can register a dispatcher and carry on without losing it.
   EventQueue q;
-  q.schedule_event_at(1.0, 0, EventKind{1}, 0, 0);
+  q.schedule_event_at(5.0, 0, EventKind{1}, 0, 0);
   EXPECT_THROW(q.step(), std::logic_error);
+  EXPECT_DOUBLE_EQ(q.now(), 0.0);
+  EXPECT_EQ(q.pending(), 1u);
+  EXPECT_EQ(q.events_processed(), 0u);
+
+  std::vector<Recorded> seen;
+  q.set_dispatcher(&record_dispatch, &seen);
+  EXPECT_TRUE(q.step());
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_DOUBLE_EQ(seen[0].now, 5.0);
 }
 
 TEST(EventEngine, PastTimePodScheduleThrowsAndEnqueuesNothing) {
@@ -174,8 +170,7 @@ void reschedule_dispatch(void* ctx, EventKind kind, std::uint32_t entity,
 
 TEST(EventEngine, PodSteadyStateSchedulingIsAllocationFree) {
   for (const auto backend :
-       {EventQueueBackend::kHeap, EventQueueBackend::kCalendar,
-        EventQueueBackend::kWheel}) {
+       {EventQueueBackend::kHeap, EventQueueBackend::kCalendar}) {
     EventQueue q(backend);
     ReschedulerCtx ctx{&q};
     q.set_dispatcher(&reschedule_dispatch, &ctx);
@@ -184,10 +179,9 @@ TEST(EventEngine, PodSteadyStateSchedulingIsAllocationFree) {
       q.schedule_event_at(0.01 * static_cast<double>(i), i,
                           static_cast<EventKind>(1 + i % 5), i, i);
     }
-    // Warm-up: long enough that the wheel's level-1 ring (256 slots x
-    // 0.25 s) and the calendar's post-rebuild ring both complete several
-    // full revolutions, so every bucket has been stretched to its periodic
-    // peak occupancy.
+    // Warm-up: long enough that the calendar's post-rebuild ring completes
+    // several full revolutions, so every bucket has been stretched to its
+    // periodic peak occupancy.
     for (int i = 0; i < 60000; ++i) {
       ASSERT_TRUE(q.step());
     }
@@ -200,37 +194,6 @@ TEST(EventEngine, PodSteadyStateSchedulingIsAllocationFree) {
         << "backend " << static_cast<int>(backend)
         << " allocated on the steady-state POD scheduling path";
     EXPECT_EQ(q.pending(), kPending);
-  }
-}
-
-TEST(EventEngine, ClosurePoolSteadyStateIsAllocationFree) {
-  // The EventFn fallback recycles pool slots through the free list; a
-  // small closure (within std::function's inline storage) must not touch
-  // the allocator once the pool is warm.
-  for (const auto backend :
-       {EventQueueBackend::kHeap, EventQueueBackend::kCalendar,
-        EventQueueBackend::kWheel}) {
-    EventQueue q(backend);
-    std::uint64_t pops = 0;
-    std::function<void(double)> resched = [&](double) {
-      ++pops;
-      q.schedule_in(2.875, [&](double t) { resched(t); });
-    };
-    for (int i = 0; i < 64; ++i) {
-      q.schedule_at(0.05 * static_cast<double>(i),
-                    [&](double t) { resched(t); });
-    }
-    for (int i = 0; i < 40000; ++i) {
-      ASSERT_TRUE(q.step());
-    }
-    const std::uint64_t before = allocations();
-    for (int i = 0; i < 4000; ++i) {
-      q.step();
-    }
-    const std::uint64_t after = allocations();
-    EXPECT_EQ(after - before, 0u)
-        << "backend " << static_cast<int>(backend)
-        << " allocated on the steady-state closure-pool path";
   }
 }
 
@@ -364,10 +327,9 @@ TEST(EventEngine, DispatchTableReproducesPreRefactorFig9Fingerprints) {
   // Golden constants captured from the pre-refactor closure scheduler
   // (identical there on heap and calendar).  The enum dispatch table keeps
   // the exact scheduling call order, so seq assignment — and with it every
-  // pop, draw, and model float — must be unchanged, on all three backends.
+  // pop, draw, and model float — must be unchanged, on both backends.
   for (const auto backend :
-       {EventQueueBackend::kHeap, EventQueueBackend::kCalendar,
-        EventQueueBackend::kWheel}) {
+       {EventQueueBackend::kHeap, EventQueueBackend::kCalendar}) {
     SimulationConfig cfg = fig9_like_config();
     cfg.event_queue = backend;
     FlSimulator simulator(cfg);

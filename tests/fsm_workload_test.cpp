@@ -110,10 +110,9 @@ TEST(FsmWorkload, SecAggUnderByzantineFlood) {
 
 TEST(FsmWorkload, EventQueueChurnOnAllBackends) {
   if (!workload_selected("event_queue_churn")) GTEST_SKIP();
-  // Same interleaving pressure against the reference heap, the calendar
-  // backend, and the timing wheel: whichever one the ctest leg runs under
-  // (TSan included), all three must keep the (time, tie_key) drain order
-  // and event conservation.
+  // Same interleaving pressure against the reference heap and the calendar
+  // backend: under every ctest leg (TSan included), both must keep the
+  // (time, tie_key) drain order and event conservation.
   StragglerStormScenario::Config storm_config;
   storm_config.begin_step = 20;
   storm_config.end_step = 120;
@@ -121,16 +120,13 @@ TEST(FsmWorkload, EventQueueChurnOnAllBackends) {
   storm_config.yields = 8;
   StragglerStormScenario storm(storm_config);
   for (const auto backend :
-       {sim::EventQueueBackend::kHeap, sim::EventQueueBackend::kCalendar,
-        sim::EventQueueBackend::kWheel}) {
+       {sim::EventQueueBackend::kHeap, sim::EventQueueBackend::kCalendar}) {
     const HarnessOptions options = defaults(505, 4, 160, 40, &storm);
-    EventQueueChurnWorkload workload(options.actors, backend);
+    EventQueueChurnWorkload workload(backend);
     const HarnessResult result = run_workload(workload, options);
     EXPECT_TRUE(result.ok())
         << "backend="
-        << (backend == sim::EventQueueBackend::kHeap       ? "heap"
-            : backend == sim::EventQueueBackend::kCalendar ? "calendar"
-                                                           : "wheel")
+        << (backend == sim::EventQueueBackend::kHeap ? "heap" : "calendar")
         << "\n"
         << result.summary();
     EXPECT_EQ(result.steps_run, options.steps);

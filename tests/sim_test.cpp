@@ -6,9 +6,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <functional>
 #include <thread>
+#include <vector>
 
 #include "sim/event_queue.hpp"
 #include "sim/fl_simulator.hpp"
@@ -22,72 +21,111 @@ namespace {
 
 // ------------------------------------------------------------ Event queue --
 
+// Test-local dispatcher.  Every event records its entity (a label) and its
+// pop time; the kind selects what else the event does, so tests whose
+// events schedule further events or stop the pump need no closures.
+enum : EventKind {
+  kRecord = 0,  ///< record only (kind 0 is an ordinary kind)
+  kChain = 1,   ///< record; while payload > 0, re-fire 1 s later, payload - 1
+  kEcho = 2,    ///< record; schedule a kRecord labelled `payload` right now
+  kStop = 3,    ///< record; raise Recorder::stop
+};
+
+struct Recorder {
+  explicit Recorder(EventQueue& queue) : q(&queue) {
+    queue.set_dispatcher(&Recorder::dispatch, this);
+  }
+  // The queue holds `this`.
+  Recorder(const Recorder&) = delete;
+  Recorder& operator=(const Recorder&) = delete;
+
+  static void dispatch(void* ctx, EventKind kind, std::uint32_t entity,
+                       std::uint32_t payload, double now) {
+    auto* r = static_cast<Recorder*>(ctx);
+    r->labels.push_back(entity);
+    r->times.push_back(now);
+    switch (kind) {
+      case kChain:
+        if (payload > 0) {
+          r->q->schedule_event_in(1.0, 0, kChain, entity + 1, payload - 1);
+        }
+        break;
+      case kEcho:
+        r->q->schedule_event_at(now, 0, kRecord, payload, 0);
+        break;
+      case kStop:
+        r->stop = true;
+        break;
+      default:
+        break;
+    }
+  }
+
+  void drain() {
+    while (q->step()) {
+    }
+  }
+
+  EventQueue* q;
+  std::vector<std::uint32_t> labels;
+  std::vector<double> times;
+  bool stop = false;
+};
+
+/// Labelled record-only event at `when` (tie key 0: FIFO among equals).
+void record_at(EventQueue& q, double when, std::uint32_t label,
+               std::uint64_t tie_key = 0) {
+  q.schedule_event_at(when, tie_key, kRecord, label, 0);
+}
+
+using Labels = std::vector<std::uint32_t>;
+
 TEST(EventQueue, RunsEventsInTimeOrder) {
   EventQueue q;
-  std::vector<int> order;
-  q.schedule_at(3.0, [&](double) { order.push_back(3); });
-  q.schedule_at(1.0, [&](double) { order.push_back(1); });
-  q.schedule_at(2.0, [&](double) { order.push_back(2); });
-  while (q.step()) {
-  }
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  Recorder r(q);
+  record_at(q, 3.0, 3);
+  record_at(q, 1.0, 1);
+  record_at(q, 2.0, 2);
+  r.drain();
+  EXPECT_EQ(r.labels, (Labels{1, 2, 3}));
   EXPECT_DOUBLE_EQ(q.now(), 3.0);
 }
 
 TEST(EventQueue, SimultaneousEventsAreFifo) {
   EventQueue q;
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i) {
-    q.schedule_at(1.0, [&order, i](double) { order.push_back(i); });
-  }
-  while (q.step()) {
-  }
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  Recorder r(q);
+  for (std::uint32_t i = 0; i < 5; ++i) record_at(q, 1.0, i);
+  r.drain();
+  EXPECT_EQ(r.labels, (Labels{0, 1, 2, 3, 4}));
 }
 
 TEST(EventQueue, EventsCanScheduleMoreEvents) {
   EventQueue q;
-  int count = 0;
-  std::function<void(double)> tick = [&](double) {
-    if (++count < 10) q.schedule_in(1.0, tick);
-  };
-  q.schedule_at(0.0, tick);
-  while (q.step()) {
-  }
-  EXPECT_EQ(count, 10);
+  Recorder r(q);
+  q.schedule_event_at(0.0, 0, kChain, 0, /*payload=*/9);
+  r.drain();
+  EXPECT_EQ(r.labels.size(), 10u);
   EXPECT_DOUBLE_EQ(q.now(), 9.0);
 }
 
 TEST(EventQueue, RunUntilStopsAtDeadline) {
   EventQueue q;
-  int ran = 0;
-  q.schedule_at(1.0, [&](double) { ++ran; });
-  q.schedule_at(100.0, [&](double) { ++ran; });
+  Recorder r(q);
+  record_at(q, 1.0, 0);
+  record_at(q, 100.0, 1);
   q.run_until(10.0);
-  EXPECT_EQ(ran, 1);
+  EXPECT_EQ(r.labels.size(), 1u);
   EXPECT_DOUBLE_EQ(q.now(), 10.0);
   EXPECT_EQ(q.pending(), 1u);
 }
 
 TEST(EventQueue, RunUntilHonoursStopPredicate) {
   EventQueue q;
-  int ran = 0;
-  bool stop = false;
-  q.schedule_at(1.0, [&](double) {
-    ++ran;
-    stop = true;
-  });
-  q.schedule_at(2.0, [&](double) { ++ran; });
-  q.run_until(10.0, [&] { return stop; });
-  EXPECT_EQ(ran, 1);
-}
-
-TEST(EventQueue, SchedulingInThePastThrows) {
-  EventQueue q;
-  q.schedule_at(5.0, [](double) {});
-  q.step();
-  EXPECT_THROW(q.schedule_at(1.0, [](double) {}), std::invalid_argument);
-  EXPECT_THROW(q.schedule_in(-1.0, [](double) {}), std::invalid_argument);
+  Recorder r(q);
+  q.schedule_event_at(1.0, 0, kStop, 0, 0);
+  record_at(q, 2.0, 1);
+  q.run_until(10.0, [&] { return r.stop; });
+  EXPECT_EQ(r.labels.size(), 1u);
 }
 
 TEST(EventQueue, FifoHoldsWhenSimultaneousEventsScheduleMore) {
@@ -95,15 +133,11 @@ TEST(EventQueue, FifoHoldsWhenSimultaneousEventsScheduleMore) {
   // that schedules another event at the *same* timestamp must see it run
   // after every already-queued event at that timestamp.
   EventQueue q;
-  std::vector<int> order;
-  q.schedule_at(1.0, [&](double now) {
-    order.push_back(0);
-    q.schedule_at(now, [&](double) { order.push_back(2); });
-  });
-  q.schedule_at(1.0, [&](double) { order.push_back(1); });
-  while (q.step()) {
-  }
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  Recorder r(q);
+  q.schedule_event_at(1.0, 0, kEcho, 0, /*payload=*/2);
+  record_at(q, 1.0, 1);
+  r.drain();
+  EXPECT_EQ(r.labels, (Labels{0, 1, 2}));
   EXPECT_DOUBLE_EQ(q.now(), 1.0);
 }
 
@@ -111,77 +145,72 @@ TEST(EventQueue, TieKeyOrdersEqualTimeEventsBeforeArrival) {
   // The documented total order is (time, tie_key, seq): at one timestamp,
   // tie keys sort before arrival order.
   EventQueue q;
-  std::vector<int> order;
-  for (int key = 4; key >= 0; --key) {
-    q.schedule_at(1.0, static_cast<std::uint64_t>(key),
-                  [&order, key](double) { order.push_back(key); });
-  }
-  q.schedule_in(1.0, 5, [&order](double) { order.push_back(5); });
-  while (q.step()) {
-  }
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+  Recorder r(q);
+  for (std::uint32_t key = 5; key-- > 0;) record_at(q, 1.0, key, key);
+  q.schedule_event_in(1.0, 5, kRecord, 5, 0);
+  r.drain();
+  EXPECT_EQ(r.labels, (Labels{0, 1, 2, 3, 4, 5}));
 }
 
-TEST(EventQueue, EqualTimePopOrderIsScheduleRaceIndependent) {
-  // Regression: equal-time events scheduled concurrently from different
-  // threads used to pop in seq order — i.e. in whatever order the two
-  // threads won the scheduling race, a different order every run.  With
-  // explicit tie keys the pop order at a timestamp is a pure function of
-  // the keys, whatever the arrival interleaving was.
+// Equal-time events scheduled concurrently from different threads used to
+// pop in seq order — i.e. in whatever order the threads won the scheduling
+// race, a different order every run.  With explicit tie keys the pop order
+// at a timestamp is a pure function of the keys, whatever the arrival
+// interleaving was, on every backend.  (This is also the TSan hammer for
+// each backend's scheduling path.)
+void expect_equal_time_order_race_independent(EventQueueBackend backend) {
   for (int trial = 0; trial < 20; ++trial) {
-    EventQueue q;
-    constexpr int kPerThread = 16;
-    std::vector<int> order;
-    // The recording lambdas only run in the single-threaded pump below, so
-    // capturing `order` from both scheduling threads is race-free.
-    auto schedule_keys = [&](int first_key) {
-      for (int i = 0; i < kPerThread; ++i) {
-        const int key = first_key + 2 * i;
-        q.schedule_at(1.0, static_cast<std::uint64_t>(key),
-                      [&order, key](double) { order.push_back(key); });
+    EventQueue q(backend);
+    Recorder r(q);
+    constexpr std::uint32_t kPerThread = 16;
+    // The recorder is only touched by the single-threaded pump below, so
+    // scheduling from both threads is race-free.
+    auto schedule_keys = [&q](std::uint32_t first_key) {
+      for (std::uint32_t i = 0; i < kPerThread; ++i) {
+        const std::uint32_t key = first_key + 2 * i;
+        record_at(q, 1.0, key, key);
       }
     };
     std::thread even([&] { schedule_keys(0); });
     std::thread odd([&] { schedule_keys(1); });
     even.join();
     odd.join();
-    while (q.step()) {
-    }
-    std::vector<int> expected(2 * kPerThread);
-    for (int i = 0; i < 2 * kPerThread; ++i) {
-      expected[static_cast<std::size_t>(i)] = i;
-    }
-    ASSERT_EQ(order, expected) << "trial " << trial;
+    r.drain();
+    Labels expected(2 * kPerThread);
+    for (std::uint32_t i = 0; i < 2 * kPerThread; ++i) expected[i] = i;
+    ASSERT_EQ(r.labels, expected) << "trial " << trial;
   }
+}
+
+TEST(EventQueue, EqualTimePopOrderIsScheduleRaceIndependent) {
+  expect_equal_time_order_race_independent(EventQueueBackend::kHeap);
 }
 
 TEST(EventQueue, ScheduleAtNowIsLegalAndRunsThisInstant) {
   EventQueue q;
-  int ran = 0;
-  q.schedule_at(2.0, [&](double now) {
-    q.schedule_at(now, [&](double) { ++ran; });  // not "the past"
-  });
-  while (q.step()) {
-  }
-  EXPECT_EQ(ran, 1);
+  Recorder r(q);
+  q.schedule_event_at(2.0, 0, kEcho, 0, /*payload=*/1);  // now: not the past
+  r.drain();
+  EXPECT_EQ(r.labels, (Labels{0, 1}));
+  EXPECT_EQ(r.times, (std::vector<double>{2.0, 2.0}));
 }
 
 TEST(EventQueue, RunUntilWithStopAlreadyTrueRunsNothing) {
   EventQueue q;
-  int ran = 0;
-  q.schedule_at(1.0, [&](double) { ++ran; });
+  Recorder r(q);
+  record_at(q, 1.0, 0);
   q.run_until(10.0, [] { return true; });
-  EXPECT_EQ(ran, 0);
+  EXPECT_TRUE(r.labels.empty());
   EXPECT_DOUBLE_EQ(q.now(), 0.0);  // a stopped clock does not jump ahead
   EXPECT_EQ(q.pending(), 1u);
 }
 
 TEST(EventQueue, RunUntilStopMidwayLeavesClockAtLastEvent) {
   EventQueue q;
-  bool stop = false;
-  q.schedule_at(1.0, [&](double) { stop = true; });
-  q.schedule_at(5.0, [](double) {});
-  q.run_until(10.0, [&] { return stop; });
+  Recorder r(q);
+  q.schedule_event_at(1.0, 0, kStop, 0, 0);
+  record_at(q, 5.0, 1);
+  q.run_until(10.0, [&] { return r.stop; });
   EXPECT_DOUBLE_EQ(q.now(), 1.0);
   EXPECT_EQ(q.pending(), 1u);
 }
@@ -195,39 +224,16 @@ TEST(EventQueue, RunUntilOnEmptyQueueAdvancesToDeadline) {
 
 // ------------------------------------------- Calendar backend equivalence --
 
-TEST(EventQueue, BackendFromEnvParsesAndRejects) {
-  unsetenv("PAPAYA_EVENT_QUEUE");
-  EXPECT_EQ(event_queue_backend_from_env(EventQueueBackend::kHeap),
-            EventQueueBackend::kHeap);
-  EXPECT_EQ(event_queue_backend_from_env(EventQueueBackend::kCalendar),
-            EventQueueBackend::kCalendar);
-  setenv("PAPAYA_EVENT_QUEUE", "calendar", 1);
-  EXPECT_EQ(event_queue_backend_from_env(EventQueueBackend::kHeap),
-            EventQueueBackend::kCalendar);
-  EXPECT_EQ(EventQueue{}.backend(), EventQueueBackend::kCalendar);
-  setenv("PAPAYA_EVENT_QUEUE", "heap", 1);
-  EXPECT_EQ(event_queue_backend_from_env(EventQueueBackend::kCalendar),
-            EventQueueBackend::kHeap);
-  setenv("PAPAYA_EVENT_QUEUE", "wheel", 1);
-  EXPECT_EQ(event_queue_backend_from_env(EventQueueBackend::kHeap),
-            EventQueueBackend::kWheel);
-  EXPECT_EQ(EventQueue{}.backend(), EventQueueBackend::kWheel);
-  setenv("PAPAYA_EVENT_QUEUE", "splay", 1);
-  EXPECT_THROW(event_queue_backend_from_env(EventQueueBackend::kHeap),
-               std::invalid_argument);
-  unsetenv("PAPAYA_EVENT_QUEUE");
-  EXPECT_EQ(EventQueue{}.backend(), EventQueueBackend::kHeap);
-}
-
 TEST(EventQueue, SchedulingInThePastThrowsOnEveryBackend) {
   for (const auto backend :
-       {EventQueueBackend::kHeap, EventQueueBackend::kCalendar,
-        EventQueueBackend::kWheel}) {
+       {EventQueueBackend::kHeap, EventQueueBackend::kCalendar}) {
     EventQueue q(backend);
-    q.schedule_at(5.0, [](double) {});
+    Recorder r(q);
+    record_at(q, 5.0, 0);
     q.step();
-    EXPECT_THROW(q.schedule_at(1.0, [](double) {}), std::invalid_argument);
-    EXPECT_THROW(q.schedule_in(-1.0, [](double) {}), std::invalid_argument);
+    EXPECT_THROW(record_at(q, 1.0, 1), std::invalid_argument);
+    EXPECT_THROW(q.schedule_event_in(-1.0, 0, kRecord, 1, 0),
+                 std::invalid_argument);
     // The rejected calls must not have half-enqueued anything.
     EXPECT_TRUE(q.empty());
     EXPECT_DOUBLE_EQ(q.now(), 5.0);
@@ -236,27 +242,21 @@ TEST(EventQueue, SchedulingInThePastThrowsOnEveryBackend) {
 
 // The acceptance bar for an O(1) backend: under randomized interleaved
 // scheduling and popping — equal-time ties, fractional boundary-hugging
-// times, far-future sparse stretches, events scheduling events — the
-// candidate backend must pop the exact same label sequence as the reference
-// heap.  Both implement the same documented (time, tie_key, seq) total
-// order, so the sequences are equal by construction or one of them is
-// broken.
+// times, far-future sparse stretches — the candidate backend must pop the
+// exact same label sequence as the reference heap.  Both implement the
+// same documented (time, tie_key, seq) total order, so the sequences are
+// equal by construction or one of them is broken.
 void expect_pop_sequence_matches_heap(EventQueueBackend candidate) {
   util::Rng rng(0xca1e2026ULL);
   for (int trial = 0; trial < 10; ++trial) {
     EventQueue heap(EventQueueBackend::kHeap);
     EventQueue other(candidate);
-    std::vector<int> heap_order, other_order;
-    int label = 0;
+    Recorder heap_pops(heap);
+    Recorder other_pops(other);
+    std::uint32_t label = 0;
     auto schedule_both = [&](double delay, std::uint64_t key) {
-      heap.schedule_at(heap.now() + delay, key,
-                       [&heap_order, label](double) {
-                         heap_order.push_back(label);
-                       });
-      other.schedule_at(other.now() + delay, key,
-                        [&other_order, label](double) {
-                          other_order.push_back(label);
-                        });
+      record_at(heap, heap.now() + delay, label, key);
+      record_at(other, other.now() + delay, label, key);
       ++label;
     };
     for (int round = 0; round < 50; ++round) {
@@ -273,8 +273,7 @@ void expect_pop_sequence_matches_heap(EventQueueBackend candidate) {
           case 2:  // mid-range
             delay = rng.uniform(0.0, 64.0);
             break;
-          case 3:  // far future: sparse-year jumps, resizes, wheel
-                   // level promotions
+          case 3:  // far future: sparse-year jumps and resizes
             delay = 256.0 + rng.uniform(0.0, 4096.0);
             break;
         }
@@ -289,11 +288,9 @@ void expect_pop_sequence_matches_heap(EventQueueBackend candidate) {
       }
       ASSERT_DOUBLE_EQ(heap.now(), other.now());
     }
-    while (heap.step()) {
-    }
-    while (other.step()) {
-    }
-    ASSERT_EQ(heap_order, other_order) << "trial " << trial;
+    heap_pops.drain();
+    other_pops.drain();
+    ASSERT_EQ(heap_pops.labels, other_pops.labels) << "trial " << trial;
     ASSERT_DOUBLE_EQ(heap.now(), other.now());
     EXPECT_EQ(heap.events_processed(), other.events_processed());
   }
@@ -303,46 +300,25 @@ TEST(EventQueue, CalendarPopSequenceMatchesHeapUnderRandomChurn) {
   expect_pop_sequence_matches_heap(EventQueueBackend::kCalendar);
 }
 
-TEST(EventQueue, WheelPopSequenceMatchesHeapUnderRandomChurn) {
-  expect_pop_sequence_matches_heap(EventQueueBackend::kWheel);
-}
-
-// The O(1) backends face the same concurrency contract as the heap:
-// equal-time events scheduled from racing threads pop in tie-key order,
-// not arrival order.  (This is also the TSan hammer for each backend's
-// scheduling path.)
-void expect_equal_time_order_race_independent(EventQueueBackend backend) {
-  for (int trial = 0; trial < 20; ++trial) {
-    EventQueue q(backend);
-    constexpr int kPerThread = 16;
-    std::vector<int> order;
-    auto schedule_keys = [&](int first_key) {
-      for (int i = 0; i < kPerThread; ++i) {
-        const int key = first_key + 2 * i;
-        q.schedule_at(1.0, static_cast<std::uint64_t>(key),
-                      [&order, key](double) { order.push_back(key); });
-      }
-    };
-    std::thread even([&] { schedule_keys(0); });
-    std::thread odd([&] { schedule_keys(1); });
-    even.join();
-    odd.join();
-    while (q.step()) {
-    }
-    std::vector<int> expected(2 * kPerThread);
-    for (int i = 0; i < 2 * kPerThread; ++i) {
-      expected[static_cast<std::size_t>(i)] = i;
-    }
-    ASSERT_EQ(order, expected) << "trial " << trial;
-  }
-}
-
 TEST(EventQueue, CalendarEqualTimePopOrderIsScheduleRaceIndependent) {
   expect_equal_time_order_race_independent(EventQueueBackend::kCalendar);
 }
 
-TEST(EventQueue, WheelEqualTimePopOrderIsScheduleRaceIndependent) {
-  expect_equal_time_order_race_independent(EventQueueBackend::kWheel);
+/// Every recorded pop time must be >= the one before it.
+void expect_nondecreasing(const std::vector<double>& times) {
+  for (std::size_t i = 1; i < times.size(); ++i) {
+    ASSERT_GE(times[i], times[i - 1]) << "at pop " << i;
+  }
+}
+
+/// Pop times must be exactly the scheduled times, sorted.
+void expect_pops_are_sorted(std::vector<double> scheduled,
+                            const std::vector<double>& popped) {
+  std::sort(scheduled.begin(), scheduled.end());
+  ASSERT_EQ(popped.size(), scheduled.size());
+  for (std::size_t i = 0; i < scheduled.size(); ++i) {
+    ASSERT_DOUBLE_EQ(popped[i], scheduled[i]) << "at pop " << i;
+  }
 }
 
 TEST(EventQueue, CalendarSurvivesResizeChurn) {
@@ -350,27 +326,21 @@ TEST(EventQueue, CalendarSurvivesResizeChurn) {
   // the order invariant throughout.  Times repeat across waves' offsets so
   // bucket occupancy is lumpy.
   EventQueue q(EventQueueBackend::kCalendar);
+  Recorder r(q);
   util::Rng rng(77);
-  double last = -1.0;
-  std::size_t popped = 0;
-  std::function<void(double)> check = [&](double t) {
-    EXPECT_GE(t, last);
-    last = t;
-    ++popped;
-  };
   std::size_t scheduled = 0;
   for (int wave = 0; wave < 4; ++wave) {
     for (int i = 0; i < 3000; ++i) {
-      q.schedule_at(q.now() + rng.uniform(0.0, 50.0), check);
+      record_at(q, q.now() + rng.uniform(0.0, 50.0), 0);
       ++scheduled;
     }
     // Partial drain between waves shrinks the ring again.
     for (int i = 0; i < 2500 && q.step(); ++i) {
     }
   }
-  while (q.step()) {
-  }
-  EXPECT_EQ(popped, scheduled);
+  r.drain();
+  expect_nondecreasing(r.times);
+  EXPECT_EQ(r.times.size(), scheduled);
   EXPECT_EQ(q.events_processed(), scheduled);
 }
 
@@ -382,17 +352,13 @@ TEST(EventQueue, CalendarGrowBoundaryKeepsOrderAtExactThreshold) {
   // std::max({1.0, 1e-9, hi * 2^-40}) path.  Pop order must stay the
   // documented tie-key order through every rebuild.
   EventQueue q(EventQueueBackend::kCalendar);
-  constexpr int kEvents = 600;  // crosses 16, 32, 64, 128, 256, 512
-  std::vector<int> order;
-  for (int i = kEvents - 1; i >= 0; --i) {
-    q.schedule_at(1000.0, static_cast<std::uint64_t>(i),
-                  [&order, i](double) { order.push_back(i); });
-  }
-  while (q.step()) {
-  }
-  ASSERT_EQ(order.size(), static_cast<std::size_t>(kEvents));
-  for (int i = 0; i < kEvents; ++i) {
-    ASSERT_EQ(order[static_cast<std::size_t>(i)], i) << "at pop " << i;
+  Recorder r(q);
+  constexpr std::uint32_t kEvents = 600;  // crosses 16, 32, ..., 512
+  for (std::uint32_t i = kEvents; i-- > 0;) record_at(q, 1000.0, i, i);
+  r.drain();
+  ASSERT_EQ(r.labels.size(), kEvents);
+  for (std::uint32_t i = 0; i < kEvents; ++i) {
+    ASSERT_EQ(r.labels[i], i) << "at pop " << i;
   }
 }
 
@@ -407,20 +373,18 @@ TEST(EventQueue, CalendarPushBelowRebuildFloorPullsCursorBack) {
   // that drew a check-in below the rebuild-time minimum was stranded —
   // heap and calendar trajectories diverged from the very first pop.
   EventQueue q(EventQueueBackend::kCalendar);
-  std::vector<double> popped;
-  auto record = [&popped](double t) { popped.push_back(t); };
+  Recorder r(q);
   // 17 pushes on the initial 8-bucket ring trigger the grow rebuild; the
   // degenerate span (hi == lo == 10) clamps the width to 1.0, anchoring
   // the cursor at virtual bucket 10.
-  for (int i = 0; i < 17; ++i) q.schedule_at(10.0, record);
+  for (std::uint32_t i = 0; i < 17; ++i) record_at(q, 10.0, i);
   // Home bucket 0 — behind the post-rebuild cursor.  Must still pop first.
-  q.schedule_at(0.5, record);
-  while (q.step()) {
-  }
-  ASSERT_EQ(popped.size(), 18u);
-  EXPECT_DOUBLE_EQ(popped.front(), 0.5);
-  for (std::size_t i = 1; i < popped.size(); ++i) {
-    EXPECT_DOUBLE_EQ(popped[i], 10.0) << "at pop " << i;
+  record_at(q, 0.5, 17);
+  r.drain();
+  ASSERT_EQ(r.times.size(), 18u);
+  EXPECT_DOUBLE_EQ(r.times.front(), 0.5);
+  for (std::size_t i = 1; i < r.times.size(); ++i) {
+    EXPECT_DOUBLE_EQ(r.times[i], 10.0) << "at pop " << i;
   }
 }
 
@@ -431,23 +395,16 @@ TEST(EventQueue, CalendarShrinkBoundaryKeepsOrderAcrossWidthRetune) {
   // span.  The pop order across the shrink — where every surviving event's
   // virtual bucket is recomputed under a new width — must stay global.
   EventQueue q(EventQueueBackend::kCalendar);
+  Recorder r(q);
   util::Rng rng(0x5157ULL);
   std::vector<double> times;
   // 200 near events across a wide span (drives width up on grow rebuilds)
   // and 40 far events packed into a 2-second window (the survivors).
   for (int i = 0; i < 200; ++i) times.push_back(rng.uniform(0.0, 5000.0));
   for (int i = 0; i < 40; ++i) times.push_back(9000.0 + rng.uniform(0.0, 2.0));
-  std::vector<double> popped;
-  for (const double t : times) {
-    q.schedule_at(t, [&popped](double at) { popped.push_back(at); });
-  }
-  while (q.step()) {
-  }
-  std::sort(times.begin(), times.end());
-  ASSERT_EQ(popped.size(), times.size());
-  for (std::size_t i = 0; i < times.size(); ++i) {
-    ASSERT_DOUBLE_EQ(popped[i], times[i]) << "at pop " << i;
-  }
+  for (const double t : times) record_at(q, t, 0);
+  r.drain();
+  expect_pops_are_sorted(times, r.times);
 }
 
 TEST(EventQueue, CalendarBucketEdgeRoundingCannotSplitPushFromScan) {
@@ -458,6 +415,7 @@ TEST(EventQueue, CalendarBucketEdgeRoundingCannotSplitPushFromScan) {
   // than it was inserted into — which would either skip it (hang) or pop
   // it out of order.
   EventQueue q(EventQueueBackend::kCalendar);
+  Recorder r(q);
   std::vector<double> times;
   for (int k = 1; k <= 64; ++k) {
     const double edge = static_cast<double>(k);  // initial width_ is 1.0
@@ -466,64 +424,9 @@ TEST(EventQueue, CalendarBucketEdgeRoundingCannotSplitPushFromScan) {
     times.push_back(std::nextafter(edge, 1e9));
     times.push_back(edge * 128.0);  // far enough to cross rebuilt widths
   }
-  std::vector<double> popped;
-  for (const double t : times) {
-    q.schedule_at(t, [&popped](double at) { popped.push_back(at); });
-  }
-  while (q.step()) {
-  }
-  std::sort(times.begin(), times.end());
-  ASSERT_EQ(popped.size(), times.size());
-  for (std::size_t i = 0; i < times.size(); ++i) {
-    ASSERT_DOUBLE_EQ(popped[i], times[i]) << "at pop " << i;
-  }
-}
-
-TEST(EventQueue, WheelSurvivesCascadeAndOverflowChurn) {
-  // Wheel-specific shapes: far-future events beyond the 2^32-tick horizon
-  // (the sorted overflow list), coarse-level promotions that cascade back
-  // down as the clock advances, equal-tick collisions inside one level-0
-  // bucket, and near/far interleaving that exercises the post-cascade
-  // "schedule before base" clamp.  Order must stay the full documented
-  // total order throughout.
-  EventQueue q(EventQueueBackend::kWheel);
-  util::Rng rng(0x8ee1ULL);
-  double last = -1.0;
-  std::size_t popped = 0;
-  std::function<void(double)> check = [&](double t) {
-    EXPECT_GE(t, last);
-    last = t;
-    ++popped;
-    if (popped % 7 == 0) {
-      // Events scheduling events just above now: lands before base_ after
-      // a cascade jumped it ahead.
-      q.schedule_at(t + 0.0001, [&](double u) {
-        EXPECT_GE(u, last);
-        last = u;
-        ++popped;
-      });
-    }
-  };
-  std::size_t scheduled = 0;
-  for (int wave = 0; wave < 3; ++wave) {
-    for (int i = 0; i < 500; ++i) {
-      double delay = 0.0;
-      switch (rng.uniform_int(4)) {
-        case 0: delay = rng.uniform(0.0, 0.01); break;        // level 0
-        case 1: delay = rng.uniform(0.0, 50.0); break;        // mid levels
-        case 2: delay = 1e5 + rng.uniform(0.0, 1e5); break;   // level 3
-        case 3: delay = 5e6 + rng.uniform(0.0, 1e6); break;   // overflow
-      }
-      q.schedule_at(q.now() + delay, check);
-      ++scheduled;
-    }
-    for (int i = 0; i < 400 && q.step(); ++i) {
-    }
-  }
-  while (q.step()) {
-  }
-  EXPECT_GE(popped, scheduled);
-  EXPECT_EQ(q.events_processed(), popped);
+  for (const double t : times) record_at(q, t, 0);
+  r.drain();
+  expect_pops_are_sorted(times, r.times);
 }
 
 // -------------------------------------------------------------- Population --
