@@ -323,29 +323,31 @@ SimulationConfig fig9_like_config() {
   return cfg;
 }
 
-TEST(EventEngine, DispatchTableReproducesPreRefactorFig9Fingerprints) {
-  // Golden constants captured from the pre-refactor closure scheduler
-  // (identical there on heap and calendar).  The enum dispatch table keeps
-  // the exact scheduling call order, so seq assignment — and with it every
-  // pop, draw, and model float — must be unchanged, on both backends.
+TEST(EventEngine, Fig9TrajectoryMatchesGoldenFingerprintOnEveryBackend) {
+  // Golden constants captured with per-entity streams and keyed profile
+  // synthesis (identical on heap and calendar).  The dispatch table fixes
+  // the scheduling call order, so seq assignment — and with it every pop,
+  // draw, and model float — must reproduce them on both backends.
   for (const auto backend :
        {EventQueueBackend::kHeap, EventQueueBackend::kCalendar}) {
     SimulationConfig cfg = fig9_like_config();
+    cfg.rng_streams = RngStreamMode::kPerEntity;
+    cfg.population.synthesis = ProfileSynthesis::kKeyedEager;
     cfg.event_queue = backend;
     FlSimulator simulator(cfg);
     const auto r = simulator.run();
     double exec_sum = 0.0;
     for (const auto& p : r.participations) exec_sum += p.exec_time_s;
 
-    EXPECT_DOUBLE_EQ(r.end_time_s, 838.90575585782494);
+    EXPECT_DOUBLE_EQ(r.end_time_s, 974.82990111559695);
     EXPECT_EQ(r.server_steps, 30u);
-    EXPECT_EQ(r.comm_trips, 393u);
-    EXPECT_EQ(r.participations_started, 480u);
-    EXPECT_EQ(r.participations.size(), 459u);
-    EXPECT_DOUBLE_EQ(r.final_eval_loss, 4.0205441656794321);
-    EXPECT_DOUBLE_EQ(exec_sum, 23905.261018029592);
-    EXPECT_EQ(fnv1a_floats(r.final_model), 0xeee4aa4f6d00b11cULL);
-    EXPECT_EQ(r.events_processed, 32743u);
+    EXPECT_EQ(r.comm_trips, 390u);
+    EXPECT_EQ(r.participations_started, 496u);
+    EXPECT_EQ(r.participations.size(), 471u);
+    EXPECT_DOUBLE_EQ(r.final_eval_loss, 3.987344005542671);
+    EXPECT_DOUBLE_EQ(exec_sum, 37945.333904417028);
+    EXPECT_EQ(fnv1a_floats(r.final_model), 0x05924ca8e84c7209ULL);
+    EXPECT_EQ(r.events_processed, 38227u);
   }
 }
 

@@ -895,27 +895,52 @@ double exec_time_sum(const SimulationResult& r) {
   return sum;
 }
 
-TEST(Simulator, LegacyStreamsReproducePreRefactorTrajectoryBitForBit) {
-  // The acceptance bar for the stream refactor: with the default
-  // kSharedLegacy mode, the simulator must reproduce the trajectories the
-  // pre-stream code produced — these constants are a fingerprint captured
-  // from the shared-rng_ simulator (commit 1808681) running exactly this
-  // config.  If this test fails, the migration shim no longer maps the old
-  // draw sites onto the shared sequence in the legacy order.
-  SimulationConfig cfg = store_config();  // async, seed 5, 20 steps
-  FlSimulator simulator(cfg);
-  const auto r = simulator.run();
-  EXPECT_DOUBLE_EQ(r.end_time_s, 190.59219085447933);
-  EXPECT_EQ(r.server_steps, 20u);
-  EXPECT_EQ(r.comm_trips, 40u);
-  EXPECT_EQ(r.participations_started, 54u);
-  EXPECT_DOUBLE_EQ(r.final_eval_loss, 3.4466637699270413);
-  ASSERT_EQ(r.participations.size(), 43u);
-  EXPECT_DOUBLE_EQ(exec_time_sum(r), 1510.9047466958796);
-  EXPECT_EQ(fnv1a_floats(r.final_model), 0xa12a2ff541ae1f54ULL);
+/// Fingerprint constants for the golden trajectories below, captured from
+/// the simulator with per-entity streams and keyed profile synthesis (the
+/// draw law every run uses).  Heap and calendar produce them identically.
+struct Fingerprint {
+  double end_time_s;
+  std::size_t server_steps;
+  std::size_t comm_trips;
+  std::size_t participations_started;
+  std::size_t participations;
+  double final_eval_loss;
+  double exec_time_sum;
+  std::uint64_t model_hash;
+  std::uint64_t events;
+};
+
+void expect_fingerprint(SimulationConfig cfg, const Fingerprint& want) {
+  cfg.rng_streams = RngStreamMode::kPerEntity;
+  cfg.population.synthesis = ProfileSynthesis::kKeyedEager;
+  for (const auto backend :
+       {EventQueueBackend::kHeap, EventQueueBackend::kCalendar}) {
+    SCOPED_TRACE(backend == EventQueueBackend::kHeap ? "heap" : "calendar");
+    cfg.event_queue = backend;
+    FlSimulator simulator(cfg);
+    const auto r = simulator.run();
+    EXPECT_DOUBLE_EQ(r.end_time_s, want.end_time_s);
+    EXPECT_EQ(r.server_steps, want.server_steps);
+    EXPECT_EQ(r.comm_trips, want.comm_trips);
+    EXPECT_EQ(r.participations_started, want.participations_started);
+    ASSERT_EQ(r.participations.size(), want.participations);
+    EXPECT_DOUBLE_EQ(r.final_eval_loss, want.final_eval_loss);
+    EXPECT_DOUBLE_EQ(exec_time_sum(r), want.exec_time_sum);
+    EXPECT_EQ(fnv1a_floats(r.final_model), want.model_hash);
+    EXPECT_EQ(r.events_processed, want.events);
+  }
 }
 
-TEST(Simulator, LegacyStreamsReproducePreRefactorSyncTrajectory) {
+TEST(Simulator, AsyncTrajectoryMatchesGoldenFingerprint) {
+  // Every draw on the participation path is keyed by (seed, entity,
+  // purpose, index), so a change that moves any draw, pop, or model float
+  // moves this fingerprint.
+  expect_fingerprint(store_config(),  // async, seed 5, 20 steps
+                     {177.47279906522687, 20, 40, 55, 44, 3.4458542600833515,
+                      1355.8534298905934, 0x9e6895e654ed52fdULL, 1119});
+}
+
+TEST(Simulator, SyncTrajectoryMatchesGoldenFingerprint) {
   // Same fingerprint discipline for the SyncFL path (cohort semantics hit
   // the same draw sites in a different schedule).
   SimulationConfig cfg = store_config();
@@ -924,16 +949,9 @@ TEST(Simulator, LegacyStreamsReproducePreRefactorSyncTrajectory) {
   cfg.task.aggregation_goal = 10;
   cfg.max_server_steps = 6;
   cfg.seed = 9;
-  FlSimulator simulator(cfg);
-  const auto r = simulator.run();
-  EXPECT_DOUBLE_EQ(r.end_time_s, 599.93502974803403);
-  EXPECT_EQ(r.server_steps, 6u);
-  EXPECT_EQ(r.comm_trips, 60u);
-  EXPECT_EQ(r.participations_started, 79u);
-  EXPECT_DOUBLE_EQ(r.final_eval_loss, 3.4564896490925139);
-  ASSERT_EQ(r.participations.size(), 79u);
-  EXPECT_DOUBLE_EQ(exec_time_sum(r), 6024.8335555918538);
-  EXPECT_EQ(fnv1a_floats(r.final_model), 0x649e6f135070e30eULL);
+  expect_fingerprint(cfg, {548.20760642182836, 6, 60, 81, 81,
+                           3.4554497824187695, 5006.9542912525239,
+                           0x57196e54404989dcULL, 3725});
 }
 
 TEST(Simulator, PerEntityStreamsKeepDistributionShapeNotDrawValues) {
