@@ -25,9 +25,10 @@ int main() {
   std::vector<double> times;
   times.reserve(population.size());
   util::LogHistogram hist(0.5, 5000.0, 24);
-  for (const auto& d : population.devices()) {
-    times.push_back(d.mean_exec_time_s);
-    hist.add(d.mean_exec_time_s);
+  for (std::size_t i = 0; i < population.size(); ++i) {
+    const double t = population.profile(i).mean_exec_time_s;
+    times.push_back(t);
+    hist.add(t);
   }
   std::printf("%s\n", hist.ascii(48).c_str());
   std::printf("exec time percentiles (s):  p1=%.1f  p50=%.1f  p99=%.1f  "
@@ -93,7 +94,7 @@ int main() {
     const double pipe_mean = util::mean(pipelined_lat);
 
     // Closed-loop column: the same task with the pipelined completion times
-    // actually driving the protocol schedule (per-entity streams forced).
+    // actually driving the protocol schedule.
     // Round latency *is* the pipelined latency there — the clock is honest.
     sim::SimulationConfig ccfg = pcfg;
     ccfg.task.closed_loop_clients = true;
@@ -113,8 +114,8 @@ int main() {
               "training.\nA single chunk cannot overlap at all — its delta is "
               "just the serialize\nstage, which the sequential charge treats "
               "as free.  The closed-loop\ncolumn reports round latency when "
-              "the overlapped schedule drives the\nprotocol (per-entity "
-              "streams, so draws differ from the legacy columns;\ncompare "
-              "shape, not bits).\n");
+              "the overlapped schedule drives the\nprotocol (each device "
+              "draws what it draws in the open-loop columns;\nonly the "
+              "arrival schedule differs).\n");
   return 0;
 }

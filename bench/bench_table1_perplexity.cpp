@@ -10,6 +10,7 @@
 // clients; AsyncFL is the best across the board and as fast as SyncFL w/ OS,
 // while SyncFL w/o OS takes ~7-10x longer.
 
+#include <algorithm>
 #include <cstdio>
 #include <vector>
 
@@ -43,16 +44,17 @@ Row run(const char* name, sim::SimulationConfig cfg) {
   // represent clients with data volume in the 75th and 99th percentiles".
   const sim::DevicePopulation& population = simulator.population();
   std::vector<double> volumes;
-  for (const auto& d : population.devices()) {
-    volumes.push_back(static_cast<double>(d.num_examples));
+  for (std::size_t i = 0; i < population.size(); ++i) {
+    volumes.push_back(static_cast<double>(population.profile(i).num_examples));
   }
   const double p75 = util::percentile(volumes, 75.0);
   const double p99 = util::percentile(volumes, 99.0);
 
   std::vector<ml::Sequence> all_test, p75_test, p99_test;
-  std::size_t sampled = 0;
-  for (const auto& d : population.devices()) {
-    if (sampled++ >= 1500) break;  // bounded evaluation cost
+  // Bounded evaluation cost: the first 1500 devices.
+  for (std::size_t i = 0; i < std::min<std::size_t>(population.size(), 1500);
+       ++i) {
+    const sim::DeviceProfile d = population.profile(i);
     const auto dataset = simulator.corpus().client_dataset(d.id, d.num_examples);
     for (const auto& seq : dataset.test) {
       all_test.push_back(seq);

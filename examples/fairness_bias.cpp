@@ -7,6 +7,7 @@
 //
 //   $ ./fairness_bias
 
+#include <algorithm>
 #include <cstdio>
 
 #include "sim/fl_simulator.hpp"
@@ -51,7 +52,8 @@ int main() {
   {
     const sim::DevicePopulation pop(make_config(fl::TrainingMode::kAsync, 0, 13).population);
     std::vector<double> slowness, examples;
-    for (const auto& d : pop.devices()) {
+    for (std::size_t i = 0; i < pop.size(); ++i) {
+      const sim::DeviceProfile d = pop.profile(i);
       slowness.push_back(std::log(d.hardware_factor));
       examples.push_back(static_cast<double>(d.num_examples));
     }
@@ -77,14 +79,13 @@ int main() {
     // Evaluate on pooled test data and on the data-rich quartile.
     const auto& pop = simulator.population();
     std::vector<double> volumes;
-    for (const auto& d : pop.devices()) {
-      volumes.push_back(static_cast<double>(d.num_examples));
+    for (std::size_t i = 0; i < pop.size(); ++i) {
+      volumes.push_back(static_cast<double>(pop.profile(i).num_examples));
     }
     const double p75 = util::percentile(volumes, 75.0);
     std::vector<ml::Sequence> all_test, rich_test;
-    std::size_t sampled = 0;
-    for (const auto& d : pop.devices()) {
-      if (sampled++ >= 500) break;
+    for (std::size_t i = 0; i < std::min<std::size_t>(pop.size(), 500); ++i) {
+      const sim::DeviceProfile d = pop.profile(i);
       const auto data = simulator.corpus().client_dataset(d.id, d.num_examples);
       all_test.insert(all_test.end(), data.test.begin(), data.test.end());
       if (static_cast<double>(d.num_examples) >= p75) {

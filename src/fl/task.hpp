@@ -80,12 +80,11 @@ struct TaskConfig {
   /// respond to real client latency — updates arrive *earlier* when the
   /// pipeline overlaps stages, so the simulated clock is honest about what
   /// the protocol would actually observe.  Changes *when* updates
-  /// arrive, never *what* a client draws: requires per-entity RNG streams
-  /// (the simulator forces RngStreamMode::kPerEntity and
-  /// `pipelined_clients`), under which every device's draw sequence is
-  /// schedule-independent.  Default off = the observational open-loop model
-  /// (bit-identical trajectories to the pre-stream simulator from the same
-  /// seed).
+  /// arrive, never *what* a client draws: the simulator keys every draw by
+  /// (seed, device, purpose, index) (sim/streams.hpp), so each device's draw
+  /// sequence is schedule-independent.  The simulator forces
+  /// `pipelined_clients` on with this knob.  Default off = the observational
+  /// open-loop model.
   bool closed_loop_clients = false;
 
   /// Whether updates travel through Asynchronous SecAgg.

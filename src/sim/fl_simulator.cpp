@@ -43,15 +43,11 @@ std::unique_ptr<ml::LanguageModel> build_model(ModelKind kind,
   throw std::logic_error("unknown model kind");
 }
 
-/// Closed-loop scheduling reacts to sampled quantities, which is only legal
-/// when draws are schedule-independent: force per-entity streams and the
-/// pipelined runtime (whose stage timings are the arrival process) before
-/// anything reads the config.
+/// Closed-loop scheduling makes the pipelined runtime's stage timings the
+/// arrival process, so force that runtime on before anything reads the
+/// config.
 SimulationConfig normalize_config(SimulationConfig cfg) {
-  if (cfg.task.closed_loop_clients) {
-    cfg.task.pipelined_clients = true;
-    cfg.rng_streams = RngStreamMode::kPerEntity;
-  }
+  if (cfg.task.closed_loop_clients) cfg.task.pipelined_clients = true;
   return cfg;
 }
 
@@ -59,7 +55,7 @@ SimulationConfig normalize_config(SimulationConfig cfg) {
 
 FlSimulator::FlSimulator(SimulationConfig config)
     : config_(normalize_config(std::move(config))),
-      streams_(config_.seed, config_.rng_streams,
+      streams_(config_.seed,
                /*dense_entities=*/config_.population.num_devices),
       queue_(config_.event_queue) {
   // The POD event record addresses devices with 32 bits; a population past
@@ -378,7 +374,7 @@ void FlSimulator::handle_check_in(std::size_t device, double now) {
   // fresh default conditions, so its eligibility is a pure function of the
   // idle draw — the overwhelmingly common rejected check-in at
   // million-device scale never materializes a ClientRuntime (or its
-  // per-client dataset).  Draw order is unchanged in every mode.
+  // per-client dataset).
   const bool idle = !streams_.bernoulli(
       device, StreamPurpose::kAvailability, config_.device_unavailable_prob);
   if (fl::ClientRuntime* runtime = find_runtime(device)) {

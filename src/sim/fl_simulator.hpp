@@ -110,15 +110,8 @@ struct SimulationConfig {
   };
   MetricsPolicy metrics;
 
-  /// How participation-path randomness is addressed (sim/streams.hpp).
-  /// kSharedLegacy (default) consumes one shared xoshiro in event order —
-  /// bit-identical to the pre-stream simulator from the same seed.
-  /// kPerEntity keys every draw by (seed, device, purpose, draw index), so
-  /// draw values are independent of the event schedule; it changes draw
-  /// values (not distributions) relative to legacy mode, and it is forced
-  /// on by `task.closed_loop_clients`, whose reactive schedule is only
-  /// legal over schedule-independent streams.
-  RngStreamMode rng_streams = RngStreamMode::kSharedLegacy;
+  /// Ignored; fleetbench setting it is the only reason it exists.
+  RngStreamMode rng_streams = RngStreamMode::kPerEntity;
 
   /// Failure injection (App. E.4): if > 0, the Aggregator owning the task
   /// stops heartbeating at this sim time; the Coordinator must detect the

@@ -97,7 +97,7 @@ class NetworkModel {
                        RngT& rng) const {
     // A zero-byte transfer opens no connection: it costs nothing, and it
     // must not consume a jitter draw (draw budgets are per-participation
-    // invariants in per-entity stream mode).
+    // invariants of the per-entity streams).
     if (bytes == 0) return 0.0;
     const double mbps = mean_mbps * rng.lognormal(0.0, config_.bandwidth_sigma);
     const double seconds =

@@ -15,8 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "util/rng.hpp"
-
 namespace papaya::sim {
 
 struct DeviceProfile {
@@ -33,20 +31,8 @@ struct DeviceProfile {
   std::vector<std::string> capabilities;
 };
 
-/// How DeviceProfiles come into being.
-enum class ProfileSynthesis {
-  /// One sequential RNG walks device 0..N-1 at construction — the
-  /// historical behaviour, bit-compatible with every committed golden.
-  kSequentialEager,
-  /// Keyed draws — device i's profile is a pure function of
-  /// (seed, i, StreamPurpose::kProfileSynthesis) — materialized up front.
-  /// Same marginals as sequential mode, different draw values.
-  kKeyedEager,
-  /// Keyed draws, synthesized on demand: no per-device storage at all, so
-  /// a 10M-device population costs O(1) memory.  device()/devices() are
-  /// unavailable; use profile(i).
-  kKeyedLazy,
-};
+/// Single-valued and never branched on; fleetbench naming it is its only use.
+enum class ProfileSynthesis { kKeyedLazy };
 
 struct PopulationConfig {
   std::size_t num_devices = 5000;
@@ -68,34 +54,31 @@ struct PopulationConfig {
   /// Per-participation execution-time jitter (log-normal sigma).
   double jitter_sigma = 0.2;
   std::uint64_t seed = 42;
-  ProfileSynthesis synthesis = ProfileSynthesis::kSequentialEager;
+  /// Ignored; fleetbench setting it is the only reason it exists.
+  ProfileSynthesis synthesis = ProfileSynthesis::kKeyedLazy;
 };
 
+/// Device profiles are keyed and lazy: device i's profile is a pure function
+/// of (seed, i, StreamPurpose::kProfile), synthesized on every call.
+/// Nothing is stored per device, so a 10M-device population costs O(1)
+/// memory, and any subset of devices can be read in any order.
 class DevicePopulation {
  public:
   explicit DevicePopulation(const PopulationConfig& config);
 
   std::size_t size() const { return config_.num_devices; }
-  bool lazy() const {
-    return config_.synthesis == ProfileSynthesis::kKeyedLazy;
-  }
 
-  /// Device i's profile, in every synthesis mode (synthesized on the spot
-  /// when lazy).  Cheap: a DeviceProfile is a few scalars plus an empty
-  /// capability vector.
+  /// Device i's profile (throws std::out_of_range past size()).  Cheap: a
+  /// DeviceProfile is a few scalars plus an empty capability vector.
   DeviceProfile profile(std::size_t i) const;
-
-  /// Eager modes only — a lazy population has no stored profiles to
-  /// reference (throws std::logic_error; use profile(i)).
-  const DeviceProfile& device(std::size_t i) const;
-  const std::vector<DeviceProfile>& devices() const;
 
   /// Sample the execution time of one participation of device `i`.  Generic
   /// over the generator so the simulator can draw from the device's own
-  /// exec-time stream (sim/streams.hpp) instead of a shared sequence.
+  /// exec-time stream (sim/streams.hpp).
   template <class RngT>
   double sample_exec_time(std::size_t i, RngT& rng) const {
-    return mean_exec_time(i) * rng.lognormal(0.0, config_.jitter_sigma);
+    return profile(i).mean_exec_time_s *
+           rng.lognormal(0.0, config_.jitter_sigma);
   }
 
   /// Half-open quantile-to-bucket map for the example-count copula draw:
@@ -109,17 +92,7 @@ class DevicePopulation {
   const PopulationConfig& config() const { return config_; }
 
  private:
-  DeviceProfile synthesize_keyed(std::size_t i) const;
-  double mean_exec_time(std::size_t i) const;
-  /// The shared copula math: both synthesis paths feed their two standard
-  /// normals through this, so mode differences are confined to where the
-  /// draws come from.
-  static DeviceProfile profile_from_draws(const PopulationConfig& config,
-                                          std::uint64_t id, double z_h,
-                                          double z_mix);
-
   PopulationConfig config_;
-  std::vector<DeviceProfile> devices_;  ///< empty in kKeyedLazy mode
 };
 
 }  // namespace papaya::sim

@@ -2,22 +2,12 @@
 // Hierarchical RNG streams for the simulator: who draws what, addressed as
 // (root seed, entity, purpose, draw index).
 //
-// The simulator historically drew every stochastic quantity from one shared
-// xoshiro in event-schedule order.  That is deterministic, but it welds the
-// random draws to the schedule: any change in *when* events run (e.g. a
-// closed-loop schedule reacting to client completion times) shifts every
-// downstream draw and destroys trajectory comparability.  SimStreams breaks
-// the weld: in per-entity mode each (entity, purpose) pair owns a
-// counter-based util::StreamRng whose i-th draw is a pure function of
-// (root_seed, entity, purpose, i) — draw values are independent of event
-// interleaving, so the schedule may legally react to them.
-//
-// Migration shim: kSharedLegacy mode routes every request, whatever its
-// (entity, purpose) label, to the one shared xoshiro in call order — the
-// pre-stream behaviour, bit for bit (equivalence goldens in
-// tests/sim_test.cpp).  It remains the default so existing seeds reproduce
-// existing trajectories; closed-loop scheduling requires (and forces)
-// per-entity streams.
+// Each (entity, purpose) pair owns a counter-based util::StreamRng whose
+// i-th draw is a pure function of (root_seed, entity, purpose, i).  Draw
+// values are therefore independent of event interleaving: a change in
+// *when* events run (e.g. a closed-loop schedule reacting to client
+// completion times) never shifts what any device draws, so trajectories
+// stay comparable and the schedule may legally react to sampled values.
 
 #include <array>
 #include <cstdint>
@@ -46,27 +36,18 @@ enum class StreamPurpose : std::uint64_t {
   kFsmPayload = 10,  ///< state-action draws (weights, deltas, picks)
   kFsmScenario = 11, ///< scenario injection (availability, byzantine flips)
   // Million-device scale-out (lazy materialization + streaming metrics).
-  kProfileSynthesis = 12,  ///< DevicePopulation keyed profile draws
-  kMetricsSampling = 13,   ///< reservoir sampling of participation records
+  kProfile = 12,          ///< DevicePopulation keyed profile draws
+  kMetricsSampling = 13,  ///< reservoir sampling of participation records
 };
 
-enum class RngStreamMode {
-  /// One shared xoshiro consumed in call order (pre-stream behaviour,
-  /// bit-identical; draw values depend on the event schedule).
-  kSharedLegacy,
-  /// Counter-based per-(entity, purpose) streams (schedule-independent
-  /// draws; required by closed-loop scheduling).
-  kPerEntity,
-};
+/// Single-valued and never branched on; fleetbench naming it is its only use.
+enum class RngStreamMode { kPerEntity };
 
 class SimStreams {
  public:
   /// Entity id for server-side draws with no client attached (final-report
   /// routing, evaluation routing, failure injection).
   static constexpr std::uint64_t kServerEntity = ~0ULL;
-
-  SimStreams(std::uint64_t root_seed, RngStreamMode mode)
-      : SimStreams(root_seed, mode, /*dense_entities=*/0) {}
 
   /// `dense_entities` enables the dense-counter representation for entities
   /// with id < dense_entities: instead of materializing a StreamRng object
@@ -76,36 +57,30 @@ class SimStreams {
   /// purpose) and reconstructs the StreamRng around it on every call.  The
   /// draws are bit-identical either way: a StreamRng's i-th output is a
   /// pure function of (key, i), so (key, counter) is the whole state.
-  SimStreams(std::uint64_t root_seed, RngStreamMode mode,
+  explicit SimStreams(std::uint64_t root_seed, std::size_t dense_entities = 0)
+      : root_(root_seed), dense_entities_(dense_entities) {}
+
+  /// Ignores the mode; fleetbench calling it is the only reason it exists.
+  SimStreams(std::uint64_t root_seed, RngStreamMode /*mode*/,
              std::size_t dense_entities)
-      : mode_(mode),
-        root_(root_seed),
-        shared_(root_seed ^ 0x51713ULL),
-        dense_entities_(dense_entities) {}
+      : SimStreams(root_seed, dense_entities) {}
 
-  RngStreamMode mode() const { return mode_; }
-  bool per_entity() const { return mode_ == RngStreamMode::kPerEntity; }
-
-  /// Run `fn` with the generator for (entity, purpose): the dedicated
-  /// stream in per-entity mode, the shared legacy xoshiro otherwise.  `fn`
-  /// must be callable with any RngDistributions-derived generator.
+  /// Run `fn` with the generator for (entity, purpose).  `fn` must be
+  /// callable with a util::StreamRng (generic lambdas are the norm).
   template <class Fn>
   auto with(std::uint64_t entity, StreamPurpose purpose, Fn&& fn)
-      -> decltype(fn(std::declval<util::Rng&>())) {
-    if (mode_ == RngStreamMode::kPerEntity) {
-      const auto purpose_idx = static_cast<std::size_t>(purpose);
-      if (entity < dense_entities_ && purpose_idx < kDensePurposes) {
-        std::uint32_t& counter = dense_counter(entity, purpose_idx);
-        util::StreamRng rng(util::StreamRng::derive_key(
-            root_, entity, static_cast<std::uint64_t>(purpose)));
-        rng.seek(counter);
-        auto result = fn(rng);
-        counter = static_cast<std::uint32_t>(rng.draw_index());
-        return result;
-      }
-      return fn(stream(entity, purpose));
+      -> decltype(fn(std::declval<util::StreamRng&>())) {
+    const auto purpose_idx = static_cast<std::size_t>(purpose);
+    if (entity < dense_entities_ && purpose_idx < kDensePurposes) {
+      std::uint32_t& counter = dense_counter(entity, purpose_idx);
+      util::StreamRng rng(util::StreamRng::derive_key(
+          root_, entity, static_cast<std::uint64_t>(purpose)));
+      rng.seek(counter);
+      auto result = fn(rng);
+      counter = static_cast<std::uint32_t>(rng.draw_index());
+      return result;
     }
-    return fn(shared_);
+    return fn(stream(entity, purpose));
   }
 
   double uniform(std::uint64_t entity, StreamPurpose p, double lo, double hi) {
@@ -127,23 +102,18 @@ class SimStreams {
 
   /// Seed for a client's local-training Rng (the kTraining purpose).  Local
   /// SGD consumes thousands of draws, so it expands a per-participation seed
-  /// through xoshiro rather than hashing per draw; the seed itself is
-  /// schedule-independent in both modes (it never touches the shared
-  /// sequence — the pre-stream code already derived it this way).
+  /// through xoshiro rather than hashing per draw; the seed is keyed like
+  /// every other draw, so no other draw can move it.
   std::uint64_t training_seed(std::uint64_t client_id,
                               std::uint64_t generation) const {
-    if (mode_ == RngStreamMode::kPerEntity) {
-      return util::StreamRng::derive_key(
-                 root_, client_id,
-                 static_cast<std::uint64_t>(StreamPurpose::kTraining)) ^
-             generation;
-    }
-    // Legacy formula, kept bit-compatible.
-    return root_ ^ (client_id * 0x7f4a7c15ULL) ^ generation;
+    return util::StreamRng::derive_key(
+               root_, client_id,
+               static_cast<std::uint64_t>(StreamPurpose::kTraining)) ^
+           generation;
   }
 
-  /// The dedicated stream for (entity, purpose).  Per-entity mode only;
-  /// lazily materialized, so idle entities cost nothing.
+  /// The dedicated stream for (entity, purpose); lazily materialized, so
+  /// idle entities cost nothing.
   ///
   /// NOT thread-safe: materialization inserts into an unordered_map.
   /// Concurrent users (the FSM harness) must call stream() for every
@@ -189,9 +159,7 @@ class SimStreams {
     return counters[entity];
   }
 
-  RngStreamMode mode_;
   std::uint64_t root_;
-  util::Rng shared_;
   std::unordered_map<std::uint64_t, util::StreamRng> streams_;
   std::size_t dense_entities_ = 0;
   /// Per-purpose draw counters for dense entities; a purpose's array is

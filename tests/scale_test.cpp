@@ -1,8 +1,9 @@
-// Million-device scale-out suite: lazy keyed device materialization, the
-// calendar event-queue backend, dense stream counters, and streaming
-// metrics must each be *observationally equivalent* to the exact,
-// memory-hungry representations they replace — same draws, same pop order,
-// same trajectories — while holding per-device state to O(bytes).
+// Million-device scale-out suite: the calendar event-queue backend, dense
+// stream counters, and streaming metrics must each be *observationally
+// equivalent* to the exact, memory-hungry representations they replace —
+// same draws, same pop order, same trajectories — while holding per-device
+// state to O(bytes).  (Device profiles are keyed and never stored; their
+// purity is pinned in sim_test.cpp's Population suite.)
 //
 // The equivalences proved here are what lets bench_macro_population run
 // fig-class simulations at 10^6 devices and still claim the results mean
@@ -11,14 +12,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <stdexcept>
 #include <vector>
 
 #include "sim/event_queue.hpp"
 #include "sim/fl_simulator.hpp"
-#include "sim/population.hpp"
 #include "sim/streams.hpp"
-#include "util/stats.hpp"
 
 namespace papaya::sim {
 namespace {
@@ -30,11 +28,11 @@ TEST(ScaleStreams, DenseCountersMatchMapStreamsBitForBit) {
   // the u32 counter and rebuilding the generator per call must reproduce
   // the map-of-StreamRng path exactly — interleaved entities, interleaved
   // purposes, multiple draws per call.
-  SimStreams dense(42, RngStreamMode::kPerEntity, /*dense_entities=*/64);
-  SimStreams mapped(42, RngStreamMode::kPerEntity);
+  SimStreams dense(42, /*dense_entities=*/64);
+  SimStreams mapped(42);
   const StreamPurpose purposes[] = {
       StreamPurpose::kCheckInBackoff, StreamPurpose::kExecTime,
-      StreamPurpose::kAvailability, StreamPurpose::kProfileSynthesis};
+      StreamPurpose::kAvailability, StreamPurpose::kProfile};
   for (int round = 0; round < 50; ++round) {
     for (const std::uint64_t entity : {0ULL, 7ULL, 63ULL}) {
       for (const auto purpose : purposes) {
@@ -58,67 +56,6 @@ TEST(ScaleStreams, DenseCountersMatchMapStreamsBitForBit) {
       mapped.uniform01(SimStreams::kServerEntity, StreamPurpose::kRouting));
 }
 
-// ---------------------------------------------- lazy device materialization --
-
-PopulationConfig keyed_population(std::size_t n, ProfileSynthesis synthesis) {
-  PopulationConfig cfg;
-  cfg.num_devices = n;
-  cfg.seed = 7;
-  cfg.synthesis = synthesis;
-  return cfg;
-}
-
-TEST(ScalePopulation, LazyProfilesMatchKeyedEagerProfiles) {
-  const DevicePopulation eager(
-      keyed_population(500, ProfileSynthesis::kKeyedEager));
-  const DevicePopulation lazy(
-      keyed_population(500, ProfileSynthesis::kKeyedLazy));
-  ASSERT_EQ(eager.size(), lazy.size());
-  EXPECT_FALSE(eager.lazy());
-  EXPECT_TRUE(lazy.lazy());
-  // Access out of order: each profile is a pure function of (seed, i).
-  for (std::size_t i = lazy.size(); i-- > 0;) {
-    const DeviceProfile a = eager.profile(i);
-    const DeviceProfile b = lazy.profile(i);
-    EXPECT_EQ(a.id, b.id);
-    EXPECT_DOUBLE_EQ(a.mean_exec_time_s, b.mean_exec_time_s);
-    EXPECT_DOUBLE_EQ(a.hardware_factor, b.hardware_factor);
-    EXPECT_EQ(a.num_examples, b.num_examples);
-    EXPECT_DOUBLE_EQ(a.dropout_prob, b.dropout_prob);
-  }
-  // Repeated access is idempotent (no hidden draw-counter state).
-  EXPECT_DOUBLE_EQ(lazy.profile(3).mean_exec_time_s,
-                   lazy.profile(3).mean_exec_time_s);
-}
-
-TEST(ScalePopulation, LazyModeRefusesMaterializedAccessors) {
-  const DevicePopulation lazy(
-      keyed_population(10, ProfileSynthesis::kKeyedLazy));
-  EXPECT_THROW((void)lazy.device(0), std::logic_error);
-  EXPECT_THROW((void)lazy.devices(), std::logic_error);
-  // profile() remains the mode-independent accessor.
-  EXPECT_GT(lazy.profile(0).mean_exec_time_s, 0.0);
-}
-
-TEST(ScalePopulation, KeyedSynthesisKeepsPaperDistributionShape) {
-  // The keyed draws are a different sequence from the legacy sequential
-  // synthesis, so re-verify the Fig. 2 / Sec. 7.4 requirements hold for the
-  // keyed law too: exec times spanning two orders of magnitude, and high
-  // slowness/example-count correlation.
-  const DevicePopulation pop(
-      keyed_population(20000, ProfileSynthesis::kKeyedLazy));
-  std::vector<double> times, slowness, examples;
-  for (std::size_t i = 0; i < pop.size(); ++i) {
-    const DeviceProfile d = pop.profile(i);
-    times.push_back(d.mean_exec_time_s);
-    slowness.push_back(std::log(d.hardware_factor));
-    examples.push_back(static_cast<double>(d.num_examples));
-  }
-  EXPECT_GT(util::percentile(times, 99.0) / util::percentile(times, 1.0),
-            100.0);
-  EXPECT_GT(util::pearson(slowness, examples), 0.6);
-}
-
 // ------------------------------------------------ end-to-end equivalences --
 
 SimulationConfig scale_config() {
@@ -139,39 +76,10 @@ SimulationConfig scale_config() {
   return cfg;
 }
 
-TEST(ScaleSimulator, LazyPopulationReproducesEagerTrajectoryBitForBit) {
-  // The acceptance bar for lazy materialization: a full simulated
-  // deployment on the lazy population is indistinguishable from the same
-  // run on the eagerly materialized keyed population — every profile read
-  // resolves to the same values, so every event lands at the same time.
-  SimulationConfig cfg = scale_config();
-  cfg.population.synthesis = ProfileSynthesis::kKeyedEager;
-  FlSimulator eager(cfg);
-  cfg.population.synthesis = ProfileSynthesis::kKeyedLazy;
-  FlSimulator lazy(cfg);
-
-  const auto a = eager.run();
-  const auto b = lazy.run();
-  EXPECT_EQ(a.final_model, b.final_model);
-  EXPECT_DOUBLE_EQ(a.end_time_s, b.end_time_s);
-  EXPECT_EQ(a.server_steps, b.server_steps);
-  EXPECT_EQ(a.participations_started, b.participations_started);
-  ASSERT_EQ(a.participations.size(), b.participations.size());
-  for (std::size_t i = 0; i < a.participations.size(); ++i) {
-    EXPECT_EQ(a.participations[i].client_id, b.participations[i].client_id);
-    EXPECT_DOUBLE_EQ(a.participations[i].start_time,
-                     b.participations[i].start_time);
-    EXPECT_DOUBLE_EQ(a.participations[i].exec_time_s,
-                     b.participations[i].exec_time_s);
-  }
-  EXPECT_EQ(a.loss_curve.times, b.loss_curve.times);
-  EXPECT_EQ(a.loss_curve.values, b.loss_curve.values);
-}
-
 TEST(ScaleSimulator, O1BackendsReproduceHeapTrajectoryBitForBit) {
   // Same documented total order, same pops, same everything — on a full
-  // deployment including the legacy-stream golden config, not just on the
-  // synthetic differential churn in sim_test.cpp.  The amortized-O(1)
+  // deployment, not just on the synthetic differential churn in
+  // sim_test.cpp.  The amortized-O(1)
   // calendar backend is held to the heap reference.
   SimulationConfig cfg = scale_config();
   cfg.event_queue = EventQueueBackend::kHeap;
@@ -273,9 +181,7 @@ TEST(ScaleSimulator, FiftyThousandDeviceLazyCalendarSmoke) {
   // (bench_macro_population).
   SimulationConfig cfg = scale_config();
   cfg.population.num_devices = 50000;
-  cfg.population.synthesis = ProfileSynthesis::kKeyedLazy;
   cfg.event_queue = EventQueueBackend::kCalendar;
-  cfg.rng_streams = RngStreamMode::kPerEntity;
   cfg.record_participations = false;
   cfg.metrics.max_timeseries_points = 64;
   cfg.max_server_steps = 5;
