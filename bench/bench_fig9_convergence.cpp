@@ -16,6 +16,7 @@
 //                            the exported trajectories must not change);
 //   PAPAYA_FIG9_QUICK=1      first two concurrencies only (CI budget).
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <vector>
@@ -58,6 +59,13 @@ int main() {
 
   std::vector<std::size_t> concurrencies{26, 52, 104, 208, 416};
   if (quick) concurrencies.resize(2);
+  struct Row {
+    std::size_t concurrency;
+    double speedup;
+    double sync_trips;
+    double async_trips;
+  };
+  std::vector<Row> rows;
   for (const std::size_t concurrency : concurrencies) {
     // SyncFL with 30% over-selection: goal = concurrency / 1.3.
     const auto goal = static_cast<std::size_t>(
@@ -89,12 +97,13 @@ int main() {
 
     const double sync_h = sim_hours(sync_result.time_to_target_s);
     const double async_h = sim_hours(async_result.time_to_target_s);
-    std::printf("%-12zu %-14.2f %-14.2f %-9.2f %-14llu %-14llu %-10.2f\n",
-                concurrency, sync_h, async_h, sync_h / async_h,
-                static_cast<unsigned long long>(sync_result.comm_trips),
-                static_cast<unsigned long long>(async_result.comm_trips),
-                static_cast<double>(sync_result.comm_trips) /
-                    static_cast<double>(async_result.comm_trips));
+    const Row row{concurrency, sync_h / async_h,
+                  static_cast<double>(sync_result.comm_trips),
+                  static_cast<double>(async_result.comm_trips)};
+    rows.push_back(row);
+    std::printf("%-12zu %-14.2f %-14.2f %-9.2f %-14.0f %-14.0f %-10.2f\n",
+                concurrency, sync_h, async_h, row.speedup, row.sync_trips,
+                row.async_trips, row.sync_trips / row.async_trips);
     if (!sync_result.reached_target || !async_result.reached_target) {
       std::printf("  (warning: target not reached within the time cap: "
                   "sync=%d async=%d)\n",
@@ -103,9 +112,26 @@ int main() {
   }
 
   std::printf(
-      "\nExpected shape (paper Fig. 9): speedup grows with concurrency "
-      "(2x -> 5x);\nasync trips ~flat while sync trips grow (ratio 2x -> "
-      "8x).\n");
+      "\nPaper (Fig. 9): speedup grows with concurrency (2x -> 5x);\nasync "
+      "trips ~flat while sync trips grow (ratio 2x -> 8x).\n");
+  // The observed counterpart, computed from the rows above.
+  const Row& first = rows.front();
+  const Row& last = rows.back();
+  const Row* fastest = &first;
+  double max_ratio = 0.0;
+  for (const Row& row : rows) {
+    if (row.speedup > fastest->speedup) fastest = &row;
+    max_ratio = std::max(max_ratio, row.sync_trips / row.async_trips);
+  }
+  std::printf(
+      "Observed: speedup %.2fx -> %.2fx (max %.2fx at concurrency %zu); "
+      "across\nconcurrency %zu -> %zu sync trips grow %.1fx and async trips "
+      "grow %.1fx;\ntrip ratio %.2fx -> %.2fx (max %.2fx).\n",
+      first.speedup, last.speedup, fastest->speedup, fastest->concurrency,
+      first.concurrency, last.concurrency, last.sync_trips / first.sync_trips,
+      last.async_trips / first.async_trips,
+      first.sync_trips / first.async_trips,
+      last.sync_trips / last.async_trips, max_ratio);
   if (export_file != nullptr) std::fclose(export_file);
   return 0;
 }

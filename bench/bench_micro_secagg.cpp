@@ -1,7 +1,7 @@
 // Microbenchmarks for the SecAgg building blocks: mask expansion, fixed-point
 // encode, DH handshake, sealed-seed processing, Merkle proofs — plus the
-// batch-size sweep over the server accept path (per-update
-// SecureAggregationSession vs BatchedSecureAggregationSession).
+// batch-size sweep over the server accept path
+// (SecureAggregationSession::accept at batch 1, 8 and 32).
 
 #include <benchmark/benchmark.h>
 
@@ -14,7 +14,6 @@
 #include "secagg/attestation.hpp"
 #include "secagg/fixed_point.hpp"
 #include "secagg/otp.hpp"
-#include "secagg/secagg_batch.hpp"
 #include "secagg/secagg_client.hpp"
 #include "secagg/secagg_server.hpp"
 #include "secagg/tsa.hpp"
@@ -37,16 +36,20 @@ void BM_MaskExpansion(benchmark::State& state) {
 BENCHMARK(BM_MaskExpansion)->Arg(1024)->Arg(65536)->Arg(1 << 20);
 
 void BM_MaskExpansionMulti(benchmark::State& state) {
-  // Multi-stream expansion of `range(0)` seeds at the BM_MaskExpansion/65536
-  // working size; compare ns/word against the scalar path.
+  // Multi-stream expansion of `range(0)` seeds folded into one mask sum
+  // (the TSA's path) at the BM_MaskExpansion/65536 working size; compare
+  // ns/word against the scalar path.
   const auto n_seeds = static_cast<std::size_t>(state.range(0));
   constexpr std::size_t kLength = 65536;
   std::vector<secagg::Seed> seeds(n_seeds);
   for (std::size_t i = 0; i < n_seeds; ++i) {
     seeds[i].fill(static_cast<std::uint8_t>(i + 1));
   }
+  secagg::GroupVec sum(kLength, 0);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(secagg::expand_masks(seeds, kLength));
+    secagg::accumulate_masks(seeds, sum);
+    benchmark::DoNotOptimize(sum.data());
+    benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n_seeds * kLength * 4));
@@ -135,14 +138,13 @@ BENCHMARK(BM_MerkleVerifyInclusion)->Arg(1024);
 
 // ----------------------------------------------- Server accept batch sweep --
 //
-// The tentpole comparison: per-update SecureAggregationSession::accept vs
-// BatchedSecureAggregationSession::accept_batch over the same contribution
-// set, at the paper's model scale (2^20 group elements = a 4 MB masked
-// update).  Per-contribution DH key recovery is inherent to the protocol in
-// both paths; the batched path amortizes everything else (TSA crossing,
-// mask expansion via the multi-stream ChaCha20 kernel, and the server fold,
-// which becomes one cache-blocked reduction).  ns/update = real_time /
-// items_per_second.
+// SecureAggregationSession::accept over the same contribution set at batch
+// sizes 1, 8 and 32, at the paper's model scale (2^20 group elements = a
+// 4 MB masked update).  Per-contribution DH key recovery is inherent to the
+// protocol at every batch size; larger batches amortize everything else
+// (TSA crossing, mask expansion via the multi-stream ChaCha20 kernel, and
+// the server fold, one cache-blocked reduction per batch).  ns/update =
+// real_time / items_per_second.
 
 constexpr std::size_t kAcceptLength = 1 << 20;
 constexpr std::size_t kAcceptContributions = 32;
@@ -189,38 +191,21 @@ const AcceptWorld& accept_world() {
   return *world;
 }
 
-void BM_SecAggAcceptPerUpdate(benchmark::State& state) {
-  const AcceptWorld& world = accept_world();
-  for (auto _ : state) {
-    state.PauseTiming();
-    const auto tsa = world.make_tsa();
-    secagg::SecureAggregationSession session(*tsa, kAcceptLength,
-                                             kAcceptContributions);
-    state.ResumeTiming();
-    for (const auto& c : world.contributions) {
-      benchmark::DoNotOptimize(session.accept(c));
-    }
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kAcceptContributions));
-}
-BENCHMARK(BM_SecAggAcceptPerUpdate)->Unit(benchmark::kMillisecond);
-
 void BM_SecAggAcceptBatched(benchmark::State& state) {
   const AcceptWorld& world = accept_world();
   const auto batch_size = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
     state.PauseTiming();
     const auto tsa = world.make_tsa();
-    secagg::BatchedSecureAggregationSession session(*tsa, kAcceptLength,
-                                                    kAcceptContributions);
+    secagg::SecureAggregationSession session(*tsa, kAcceptLength,
+                                             kAcceptContributions);
     state.ResumeTiming();
     for (std::size_t base = 0; base < world.contributions.size();
          base += batch_size) {
       const std::size_t n =
           std::min(batch_size, world.contributions.size() - base);
-      benchmark::DoNotOptimize(session.accept_batch(
-          {world.contributions.data() + base, n}));
+      benchmark::DoNotOptimize(
+          session.accept({world.contributions.data() + base, n}));
     }
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

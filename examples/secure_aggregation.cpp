@@ -6,7 +6,8 @@
 //      messages,
 //   3. clients verify the attestation quote + log inclusion proof, mask
 //      their updates with a seed-expanded one-time pad, and upload,
-//   4. the untrusted server aggregates masked updates incrementally,
+//   4. the untrusted server aggregates masked updates incrementally, handing
+//      each client's sealed seed to the TSA as it arrives (a batch of one),
 //   5. at the aggregation goal the TSA releases the unmasking vector once,
 //   6. the server recovers ONLY the sum -- and a tampering attempt is shown
 //      to be rejected.
@@ -70,7 +71,7 @@ int main() {
                   static_cast<unsigned long long>(c));
       return 1;
     }
-    const secagg::TsaAccept verdict = session.accept(*contribution);
+    const secagg::TsaAccept verdict = session.accept({&*contribution, 1})[0];
     std::printf("client %llu: quote verified, masked update uploaded "
                 "(TSA verdict: %s)\n",
                 static_cast<unsigned long long>(c),
@@ -78,16 +79,15 @@ int main() {
                                                         : "rejected");
   }
 
-  // --- A tampering attempt: the server flips a bit in a sealed seed.
+  // --- A tampering attempt: the server flips a bit in a sealed seed.  The
+  // TSA refuses it, and the session discards its masked update too.
   {
     secagg::SecAggClient attacker_view(dh, fp, 77);
     auto contribution = attacker_view.prepare_contribution(
         platform, expectations, tsa.initial_messages().at(num_clients),
         log.prove_inclusion(leaf), std::vector<float>(model_size, 0.1f));
     contribution->sealed_seed.ciphertext[20] ^= 0x01;
-    const auto verdict = tsa.process_contribution(
-        contribution->message_index, contribution->completing_message,
-        contribution->sealed_seed, contribution->message_index);
+    const secagg::TsaAccept verdict = session.accept({&*contribution, 1})[0];
     std::printf("tampered seed ciphertext: TSA verdict = %s\n",
                 verdict == secagg::TsaAccept::kDecryptionFailed
                     ? "decryption failed (rejected)"

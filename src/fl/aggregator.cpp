@@ -266,6 +266,21 @@ ReportResult Aggregator::client_report_secure(const std::string& task,
     return {ReportOutcome::kDiscardedStale, false, {}};
   }
 
+  // This submit may have flushed earlier buffered reports, whose TSA
+  // rejections only surface now — whatever this report's own verdict.
+  // Un-count them the way a returned kTsaRejected never counted: as
+  // discarded, not buffered, and not completing a SyncFL slot — so the
+  // round's demand frees up and a replacement client can be selected.
+  const auto claim_deferred_rejections = [&ts] {
+    if (const std::size_t rejected = ts.secure->take_rejected(); rejected > 0) {
+      ts.stats.updates_discarded += rejected;
+      ts.buffered -= std::min(ts.buffered, rejected);
+      if (ts.config.mode == TrainingMode::kSync) {
+        ts.completed_this_round -= std::min(ts.completed_this_round, rejected);
+      }
+    }
+  };
+
   const double weight = secure_update_weight(task, report.num_examples);
   const SecureSubmitOutcome outcome = ts.secure->submit(report, weight);
   if (outcome != SecureSubmitOutcome::kAccepted &&
@@ -274,24 +289,13 @@ ReportResult Aggregator::client_report_secure(const std::string& task,
     // slot is freed so a replacement can be selected.
     ts.active.erase(it);
     ++ts.stats.updates_discarded;
+    claim_deferred_rejections();
     return {ReportOutcome::kRejectedUnknown, false, {}};
   }
   ts.active.erase(it);
   if (ts.config.mode == TrainingMode::kSync) ++ts.completed_this_round;
   ++ts.buffered;
-
-  // Batched mode: this submit may have flushed buffered reports, whose TSA
-  // rejections only surface now.  Un-count them the way a synchronous
-  // kTsaRejected never counted: as discarded, not buffered, and not
-  // completing a SyncFL slot — so the round's demand frees up and a
-  // replacement client can be selected, exactly as in per-update mode.
-  if (const std::size_t rejected = ts.secure->take_rejected(); rejected > 0) {
-    ts.stats.updates_discarded += rejected;
-    ts.buffered -= std::min(ts.buffered, rejected);
-    if (ts.config.mode == TrainingMode::kSync) {
-      ts.completed_this_round -= std::min(ts.completed_this_round, rejected);
-    }
-  }
+  claim_deferred_rejections();
 
   ReportResult result{ReportOutcome::kAccepted, false, {}};
   if (ts.secure->goal_reached()) {

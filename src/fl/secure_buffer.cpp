@@ -38,15 +38,8 @@ void SecureBufferManager::rotate_epoch() {
       crypto::DhParams::simulation256(),
       secagg::SecAggParams{model_size_, goal_}, messages_per_epoch(goal_),
       platform_, binary_measurement_, seed_ ^ (epoch_ * 0x9e37ULL));
-  if (batch_size_ > 1) {
-    batched_session_ = std::make_unique<secagg::BatchedSecureAggregationSession>(
-        *tsa_, model_size_, goal_);
-    session_.reset();
-  } else {
-    session_ = std::make_unique<secagg::SecureAggregationSession>(
-        *tsa_, model_size_, goal_);
-    batched_session_.reset();
-  }
+  session_ = std::make_unique<secagg::SecureAggregationSession>(
+      *tsa_, model_size_, goal_);
   pending_.clear();
   pending_weights_.clear();
   next_message_ = 0;
@@ -103,47 +96,45 @@ SecureSubmitOutcome SecureBufferManager::submit(const SecureReport& report,
     ++wrong_epoch_total_;
     return SecureSubmitOutcome::kWrongEpoch;
   }
-  if (batch_size_ <= 1) {
-    const secagg::TsaAccept verdict = session_->accept(report.contribution);
-    if (verdict != secagg::TsaAccept::kAccepted) {
-      ++rejected_total_;
-      return SecureSubmitOutcome::kTsaRejected;
-    }
-    ++accepted_;
-    ++accepted_total_;
-    weight_sum_ += weight;
-    return SecureSubmitOutcome::kAccepted;
+  // A masked update of the wrong length can never be unmasked into this
+  // epoch's sum: refuse it before it is buffered, so it can neither throw
+  // out of a flush nor sit in pending_ and wedge the epoch.
+  if (report.contribution.masked_update.size() != model_size_) {
+    ++rejected_total_;
+    return SecureSubmitOutcome::kTsaRejected;
   }
-  // Batched mode: buffer, and flush when a full batch is pending or when
-  // the flush could complete the aggregation goal.  The goal condition
-  // makes forward progress independent of the batch size: the
-  // epoch finalizes after the same accepted contribution as per-update mode
-  // would, and the aggregate is bit-identical at any flush point.
+  // Flush when a full batch is pending or when the flush could complete the
+  // aggregation goal.  The goal condition makes forward progress
+  // independent of the batch size: the epoch finalizes after the same
+  // accepted contribution at any batch size, and the aggregate is
+  // bit-identical at any flush point.
   pending_.push_back(report.contribution);
   pending_weights_.push_back(weight);
-  if (pending_.size() >= batch_size_ ||
-      accepted_ + pending_.size() >= goal_) {
-    flush_pending();
+  if (pending_.size() < batch_size_ && accepted_ + pending_.size() < goal_) {
+    return SecureSubmitOutcome::kBuffered;
   }
-  return SecureSubmitOutcome::kBuffered;
+  return flush_pending(/*submitter_last=*/true).back() ==
+                 secagg::TsaAccept::kAccepted
+             ? SecureSubmitOutcome::kAccepted
+             : SecureSubmitOutcome::kTsaRejected;
 }
 
-void SecureBufferManager::flush_pending() {
-  if (pending_.empty()) return;
-  const std::vector<secagg::TsaAccept> verdicts =
-      batched_session_->accept_batch(pending_);
+std::vector<secagg::TsaAccept> SecureBufferManager::flush_pending(
+    bool submitter_last) {
+  std::vector<secagg::TsaAccept> verdicts = session_->accept(pending_);
   for (std::size_t i = 0; i < verdicts.size(); ++i) {
     if (verdicts[i] == secagg::TsaAccept::kAccepted) {
       ++accepted_;
       ++accepted_total_;
       weight_sum_ += pending_weights_[i];
     } else {
-      ++rejected_unclaimed_;
       ++rejected_total_;
+      if (!submitter_last || i + 1 < verdicts.size()) ++rejected_unclaimed_;
     }
   }
   pending_.clear();
   pending_weights_.clear();
+  return verdicts;
 }
 
 std::size_t SecureBufferManager::take_rejected() {
@@ -155,10 +146,8 @@ std::size_t SecureBufferManager::take_rejected() {
 
 std::optional<std::vector<float>> SecureBufferManager::finalize_mean() {
   util::LockGuard lock(mutex_);
-  if (batch_size_ > 1) flush_pending();
-  const auto decoded = batch_size_ > 1
-                           ? batched_session_->finalize_decoded(fixed_point_)
-                           : session_->finalize_decoded(fixed_point_);
+  flush_pending(/*submitter_last=*/false);
+  const auto decoded = session_->finalize_decoded(fixed_point_);
   if (!decoded) return std::nullopt;
   std::vector<float> mean = *decoded;
   if (weight_sum_ > 0.0) {

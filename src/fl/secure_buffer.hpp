@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "util/sync.hpp"
-#include "secagg/secagg_batch.hpp"
 #include "secagg/secagg_client.hpp"
 #include "secagg/secagg_server.hpp"
 #include "secagg/tsa.hpp"
@@ -53,24 +52,25 @@ struct SecureReport {
 
 enum class SecureSubmitOutcome {
   kAccepted,
-  kBuffered,       ///< batched mode: admitted, TSA verdict lands at flush
+  kBuffered,       ///< admitted, TSA verdict lands at a later flush
   kWrongEpoch,     ///< prepared against an already-released masking epoch
   kExhausted,      ///< no initial messages left in this epoch
-  kTsaRejected,    ///< TSA refused (tampered/replayed/bad key)
+  kTsaRejected,    ///< TSA refused (tampered/replayed/bad key), or the
+                   ///< masked update is not model_size long
 };
 
 /// Manages masking epochs for one task on the server side.
 class SecureBufferManager {
  public:
   /// `goal` is the aggregation goal; each epoch pre-generates enough initial
-  /// messages for the goal plus in-flight overshoot.  `batch_size` > 1
-  /// switches the TSA hand-off to the batched pipeline: reports are buffered
-  /// and flushed `batch_size` at a time (or as soon as the flush could reach
-  /// the goal) through BatchedSecureAggregationSession — one TSA boundary
-  /// crossing, multi-stream mask expansion, and one blocked fold per batch.
-  /// The accepted set and the unmasked aggregate are bit-identical to
-  /// per-update mode; only when verdicts surface changes (kBuffered now,
-  /// rejections via take_rejected() after the flush).
+  /// messages for the goal plus in-flight overshoot.  Reports reach the TSA
+  /// through one path: they are buffered and flushed through the epoch's
+  /// SecureAggregationSession — one TSA boundary crossing, multi-stream mask
+  /// expansion, and one blocked fold per flush.  `batch_size` only sets the
+  /// flush point (a flush happens once `batch_size` reports are pending, or
+  /// as soon as it could reach the goal); 1 flushes every report as it
+  /// arrives.  The accepted set and the unmasked aggregate do not depend on
+  /// it; only when verdicts surface does.
   SecureBufferManager(std::size_t model_size, std::size_t goal,
                       std::uint64_t seed, std::size_t batch_size = 1);
 
@@ -80,13 +80,17 @@ class SecureBufferManager {
   /// epoch).
   std::optional<SecureUploadConfig> next_upload_config();
 
-  /// Client -> server: submit a secure report.  In batched mode an admitted
-  /// report returns kBuffered; its TSA verdict is decided at the next flush
-  /// (pending-full, or the flush could reach the goal).
+  /// Client -> server: submit a secure report.  A masked update that is not
+  /// model_size long is refused at admission (kTsaRejected, never
+  /// buffered).  Otherwise the report is buffered, and if that triggers a
+  /// flush (pending-full, or the flush could reach the goal) the report's
+  /// own TSA verdict is returned (kAccepted / kTsaRejected); if not, it
+  /// returns kBuffered and its verdict is decided at a later flush.
   SecureSubmitOutcome submit(const SecureReport& report, double weight);
 
-  /// Reports rejected by the TSA during batched flushes since the last call
-  /// (the deferred analogue of a synchronous kTsaRejected).  Resets on read.
+  /// Buffered reports (other than the flushing submitter's own) rejected by
+  /// the TSA at flushes since the last call — the deferred analogue of a
+  /// returned kTsaRejected.  Resets on read.
   std::size_t take_rejected();
 
   std::size_t accepted_count() const {
@@ -116,8 +120,9 @@ class SecureBufferManager {
   /// leak buffered slots.
   struct Accounting {
     std::uint64_t submitted = 0;    ///< every submit() call
-    std::uint64_t accepted = 0;     ///< TSA-accepted (sequential + flushes)
-    std::uint64_t rejected = 0;     ///< TSA-rejected (sequential + flushes)
+    std::uint64_t accepted = 0;     ///< TSA-accepted at a flush
+    std::uint64_t rejected = 0;     ///< TSA-rejected at a flush, or refused
+                                    ///< at admission (wrong length)
     std::uint64_t wrong_epoch = 0;  ///< bounced at the epoch check
     std::uint64_t pending = 0;      ///< buffered, verdict not yet decided
     std::uint64_t pending_weight_slots = 0;  ///< must equal `pending`
@@ -151,9 +156,13 @@ class SecureBufferManager {
 
  private:
   void rotate_epoch() PAPAYA_REQUIRES(mutex_);
-  /// Batched mode: push every pending contribution through the TSA in one
-  /// batch, crediting accepted weights and recording rejections.
-  void flush_pending() PAPAYA_REQUIRES(mutex_);
+  /// Push every pending contribution through the TSA in one batch,
+  /// crediting accepted weights and counting rejections.  A rejection waits
+  /// for take_rejected() unless `submitter_last` says the last pending
+  /// report belongs to the submit() that triggered the flush, which returns
+  /// that verdict itself.  Returns the verdicts in pending order.
+  std::vector<secagg::TsaAccept> flush_pending(bool submitter_last)
+      PAPAYA_REQUIRES(mutex_);
 
   // Immutable after construction (no guard needed): configuration, the
   // attestation platform, and the verifiable log (appended only in the
@@ -177,15 +186,11 @@ class SecureBufferManager {
   std::uint64_t epoch_ PAPAYA_GUARDED_BY(mutex_) = 0;
   std::unique_ptr<secagg::TrustedSecureAggregator> tsa_
       PAPAYA_GUARDED_BY(mutex_);
-  /// Exactly one of the two sessions is live per epoch: sequential when
-  /// batch_size_ <= 1, batched otherwise.
   std::unique_ptr<secagg::SecureAggregationSession> session_
       PAPAYA_GUARDED_BY(mutex_);
-  std::unique_ptr<secagg::BatchedSecureAggregationSession> batched_session_
-      PAPAYA_GUARDED_BY(mutex_);
-  /// Batched mode: admitted contributions awaiting a flush (contiguous, so
-  /// a flush hands the whole pending run to accept_batch as one span), with
-  /// their weights alongside.
+  /// Admitted contributions awaiting a flush (contiguous, so a flush hands
+  /// the whole pending run to the session as one span), with their weights
+  /// alongside.
   std::vector<secagg::ClientContribution> pending_ PAPAYA_GUARDED_BY(mutex_);
   std::vector<double> pending_weights_ PAPAYA_GUARDED_BY(mutex_);
   std::size_t rejected_unclaimed_ PAPAYA_GUARDED_BY(mutex_) = 0;
@@ -194,7 +199,7 @@ class SecureBufferManager {
   double weight_sum_ PAPAYA_GUARDED_BY(mutex_) = 0.0;
   /// Cumulative accounting (never reset by epoch rotation; see Accounting).
   /// rejected_total_ is separate from rejected_unclaimed_, which resets on
-  /// take_rejected() and counts only deferred batched verdicts.
+  /// take_rejected() and counts only deferred verdicts.
   std::uint64_t submitted_total_ PAPAYA_GUARDED_BY(mutex_) = 0;
   std::uint64_t accepted_total_ PAPAYA_GUARDED_BY(mutex_) = 0;
   std::uint64_t rejected_total_ PAPAYA_GUARDED_BY(mutex_) = 0;

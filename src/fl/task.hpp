@@ -49,14 +49,16 @@ struct TaskConfig {
   /// normalized to 1) keeps the single-pipeline behaviour.
   std::size_t aggregator_shards = 1;
 
-  /// Server-side aggregation batch size.  Under SecAgg, contributions are
-  /// buffered and handed to the TSA in batches of this size
-  /// (BatchedSecureAggregationSession: one boundary crossing, multi-stream
-  /// mask expansion, one blocked fold per batch); on the plaintext path each
+  /// Server-side aggregation batch size.  Under SecAgg there is one accept
+  /// path, and this only sets its flush point: contributions are buffered
+  /// and handed to the TSA once this many are pending (or as soon as a flush
+  /// could reach the goal), one boundary crossing, multi-stream mask
+  /// expansion and one blocked fold per flush.  On the plaintext path each
   /// aggregation-shard worker drains up to this many queued updates per
-  /// wakeup.  1 (or 0, normalized to 1) keeps per-update processing.  The
-  /// aggregate is bit-identical either way — Z_{2^32} (and float fold order
-  /// per worker) is unchanged; only the amortization changes.
+  /// wakeup.  1 (or 0, normalized to 1) flushes or drains every update as it
+  /// arrives.  The aggregate is bit-identical at any value — Z_{2^32} (and
+  /// float fold order per worker) is unchanged; only the amortization
+  /// changes.
   std::size_t aggregation_batch_size = 1;
 
   /// Pipelined client runtime (Sec. 6.1): overlap local training,

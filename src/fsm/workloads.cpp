@@ -630,11 +630,20 @@ std::vector<StateDef> SecAggFloodWorkload::states() {
                    "prepare_report refused a fresh upload config");
          if (!report) return;
          if (byzantine) {
-           // Malformed contribution: corrupt the sealed seed so the TSA's
-           // authenticated decryption must refuse it.
-           auto& ciphertext = report->contribution.sealed_seed.ciphertext;
-           if (!ciphertext.empty()) {
-             ciphertext[ctx.rng().uniform_int(ciphertext.size())] ^= 1;
+           // Malformed contribution, one of two arms: resize the masked
+           // update (refused at admission, before it is buffered), or
+           // corrupt the sealed seed so the TSA's authenticated decryption
+           // must refuse it.
+           if (ctx.rng().bernoulli(0.5)) {
+             auto& masked = report->contribution.masked_update;
+             masked.resize(ctx.rng().bernoulli(0.5) ? masked.size() + 1
+                                                    : masked.size() - 1);
+             resized_.fetch_add(1, std::memory_order_relaxed);
+           } else {
+             auto& ciphertext = report->contribution.sealed_seed.ciphertext;
+             if (!ciphertext.empty()) {
+               ciphertext[ctx.rng().uniform_int(ciphertext.size())] ^= 1;
+             }
            }
            malformed_.fetch_add(1, std::memory_order_relaxed);
          } else {

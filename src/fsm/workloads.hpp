@@ -158,12 +158,12 @@ class ShardedAggWorkload final : public Workload {
   std::atomic<std::uint64_t> reduced_weight_units_{0};
 };
 
-/// Contribute/finalize/claim/probe churn against one batched
-/// SecureBufferManager, with the scenario flipping contributions malformed
-/// (tampered sealed seeds).  Invariants, via accounting(): every submission
-/// is accepted, rejected, wrong-epoch, or pending (no drift); pending slots
-/// always pair with weight slots (no leak); malformed contributions are
-/// never accepted.
+/// Contribute/finalize/claim/probe churn against one SecureBufferManager
+/// (batch size 3), with the scenario flipping contributions malformed
+/// (tampered sealed seeds, or masked updates resized off model_size).
+/// Invariants, via accounting(): every submission is accepted, rejected,
+/// wrong-epoch, or pending (no drift); pending slots always pair with weight
+/// slots (no leak); malformed contributions are never accepted.
 class SecAggFloodWorkload final : public Workload {
  public:
   struct Config {
@@ -184,6 +184,8 @@ class SecAggFloodWorkload final : public Workload {
 
   std::uint64_t valid_submitted() const { return valid_.load(); }
   std::uint64_t malformed_submitted() const { return malformed_.load(); }
+  /// The malformed submissions whose masked update was resized.
+  std::uint64_t resized_submitted() const { return resized_.load(); }
 
  private:
   fl::SecureBufferManager manager_;
@@ -192,6 +194,7 @@ class SecAggFloodWorkload final : public Workload {
   std::atomic<std::uint64_t> submitted_{0};
   std::atomic<std::uint64_t> valid_{0};
   std::atomic<std::uint64_t> malformed_{0};
+  std::atomic<std::uint64_t> resized_{0};
   std::atomic<std::uint64_t> finalized_{0};
 };
 

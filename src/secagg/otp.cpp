@@ -11,38 +11,11 @@ GroupVec expand_mask(const Seed& seed, std::size_t length) {
   return prng.words(length);
 }
 
-namespace {
-
-std::vector<crypto::MaskPrng> make_prngs(std::span<const Seed> seeds) {
-  std::vector<crypto::MaskPrng> prngs;
-  prngs.reserve(seeds.size());
-  for (const Seed& seed : seeds) prngs.emplace_back(seed);
-  return prngs;
-}
-
-std::vector<crypto::MaskPrng*> prng_ptrs(std::vector<crypto::MaskPrng>& prngs) {
-  std::vector<crypto::MaskPrng*> ptrs(prngs.size());
-  for (std::size_t i = 0; i < prngs.size(); ++i) ptrs[i] = &prngs[i];
-  return ptrs;
-}
-
-}  // namespace
-
-std::vector<GroupVec> expand_masks(std::span<const Seed> seeds,
-                                   std::size_t length) {
-  std::vector<GroupVec> out(seeds.size(), GroupVec(length));
-  auto prngs = make_prngs(seeds);
-  const auto ptrs = prng_ptrs(prngs);
-  std::vector<std::uint32_t*> outs(out.size());
-  for (std::size_t i = 0; i < out.size(); ++i) outs[i] = out[i].data();
-  crypto::MaskPrng::fill_words_multi(ptrs, outs, length);
-  return out;
-}
-
 void accumulate_masks(std::span<const Seed> seeds, GroupVec& sum) {
   if (seeds.empty()) return;
-  auto prngs = make_prngs(seeds);
-  const auto ptrs = prng_ptrs(prngs);
+  std::vector<crypto::MaskPrng> prngs(seeds.begin(), seeds.end());
+  std::vector<crypto::MaskPrng*> ptrs(prngs.size());
+  for (std::size_t i = 0; i < prngs.size(); ++i) ptrs[i] = &prngs[i];
 
   // Scratch tile: one chunk of keystream per seed, sized so the whole tile
   // plus the matching `sum` block fits comfortably in cache.  Chunks are a

@@ -21,18 +21,13 @@ using Seed = std::array<std::uint8_t, 16>;
 /// Deterministically expand a seed into an l-element mask vector.
 GroupVec expand_mask(const Seed& seed, std::size_t length);
 
-/// Batched expansion: out[i] == expand_mask(seeds[i], length) for every i,
-/// computed with the cache-blocked multi-stream ChaCha20 path (keystream
-/// blocks for up to 8 seeds are generated in lockstep so the per-seed
-/// quarter-round arithmetic vectorizes across streams).
-std::vector<GroupVec> expand_masks(std::span<const Seed> seeds,
-                                   std::size_t length);
-
 /// Fold the sum of every seed's mask into `sum` (mod 2^32) without
-/// materializing the individual masks: keystream tiles are expanded into a
-/// small scratch block and folded while the corresponding `sum` block is
-/// still cache-resident.  Equivalent to add_in_place(sum, expand_mask(s, l))
-/// over all seeds.
+/// materializing the individual masks: keystream tiles are expanded with the
+/// multi-stream ChaCha20 path (keystream blocks for up to 8 seeds generated
+/// in lockstep, so the quarter-round arithmetic vectorizes across streams)
+/// into a small scratch block and folded while the corresponding `sum`
+/// block is still cache-resident.  Equivalent to
+/// add_in_place(sum, expand_mask(s, l)) over all seeds.
 void accumulate_masks(std::span<const Seed> seeds, GroupVec& sum);
 
 /// Mask a plaintext group vector: out = v + m (mod 2^32).

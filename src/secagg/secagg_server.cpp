@@ -13,18 +13,34 @@ SecureAggregationSession::SecureAggregationSession(TrustedSecureAggregator& tsa,
   }
 }
 
-TsaAccept SecureAggregationSession::accept(const ClientContribution& c) {
-  if (c.masked_update.size() != masked_sum_.size()) {
-    throw std::invalid_argument("SecureAggregationSession: wrong update size");
+std::vector<TsaAccept> SecureAggregationSession::accept(
+    std::span<const ClientContribution> batch) {
+  for (const ClientContribution& c : batch) {
+    if (c.masked_update.size() != masked_sum_.size()) {
+      throw std::invalid_argument("SecureAggregationSession: wrong update size");
+    }
   }
-  const TsaAccept verdict = tsa_.process_contribution(
-      c.message_index, c.completing_message, c.sealed_seed,
-      /*sequence=*/c.message_index);
-  if (verdict == TsaAccept::kAccepted) {
-    add_in_place(masked_sum_, c.masked_update);
-    ++accepted_;
+  if (batch.empty()) return {};
+
+  std::vector<TrustedSecureAggregator::ContributionRef> refs;
+  refs.reserve(batch.size());
+  for (const ClientContribution& c : batch) {
+    refs.push_back({c.message_index, c.completing_message, &c.sealed_seed,
+                    /*sequence=*/c.message_index});
   }
-  return verdict;
+  const std::vector<TsaAccept> verdicts = tsa_.process_contributions(refs);
+
+  // A rejected contribution is simply absent from `rows`.
+  std::vector<const std::uint32_t*> rows;
+  rows.reserve(batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    if (verdicts[i] == TsaAccept::kAccepted) {
+      rows.push_back(batch[i].masked_update.data());
+    }
+  }
+  add_rows_in_place(masked_sum_, rows);
+  accepted_ += rows.size();
+  return verdicts;
 }
 
 std::optional<GroupVec> SecureAggregationSession::finalize() {

@@ -8,6 +8,7 @@
 // subtracts it.
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "secagg/fixed_point.hpp"
@@ -18,24 +19,31 @@ namespace papaya::secagg {
 
 /// One secure-aggregation session on the untrusted server, bound to a TSA
 /// instance.  Incremental: contributions arrive whenever clients finish,
-/// with no inter-client coordination.
+/// with no inter-client coordination, and are handed over in batches of
+/// whatever size the serving layer chooses (a batch of one is the
+/// per-update case).
 class SecureAggregationSession {
  public:
   SecureAggregationSession(TrustedSecureAggregator& tsa,
                            std::size_t vector_length,
                            std::size_t aggregation_goal);
 
-  /// Step 5: fold one masked update into the running sum and forward the
-  /// client's TSA-destined material.  Returns the TSA's verdict; on any
-  /// non-accepted verdict the masked update is discarded too (an update the
-  /// TSA cannot unmask would poison the aggregate).
-  TsaAccept accept(const ClientContribution& contribution);
+  /// Step 5: forward the batch's TSA-destined material in one boundary
+  /// crossing and fold every accepted masked update into the running sum
+  /// with one blocked reduction.  verdicts[i] is the TSA's verdict on
+  /// batch[i] (duplicate indices within a batch resolve in batch order); a
+  /// non-accepted contribution's masked update is discarded too (an update
+  /// the TSA cannot unmask would poison the aggregate), and it discards only
+  /// itself.  An empty batch is a no-op that crosses nothing.  Throws if any
+  /// contribution has the wrong vector length (checked up front, before
+  /// anything is processed).
+  std::vector<TsaAccept> accept(std::span<const ClientContribution> batch);
 
   std::size_t accepted_count() const { return accepted_; }
   bool goal_reached() const { return accepted_ >= goal_; }
 
-  /// The running masked sum (exposed so equivalence tests can compare the
-  /// sequential fold bit-for-bit against the batched session's).
+  /// The running masked sum (exposed so tests can check the fold against
+  /// the accepted clients' masked updates).
   const GroupVec& masked_sum() const { return masked_sum_; }
 
   /// Steps 7–8: request the unmasking vector and recover the plaintext sum

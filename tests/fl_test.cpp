@@ -1313,8 +1313,8 @@ TEST(SecureBuffer, TamperedContributionRejectedAndSlotFreed) {
 
 TEST(SecureBuffer, BatchedModeMatchesPerUpdateBitForBit) {
   // Two managers with the same seed have identical TSAs and platforms; the
-  // same reports through the per-update and the batched pipeline must yield
-  // the same accepted set and a bit-identical unmasked mean.
+  // same reports at batch sizes 1 and 3 must yield the same accepted set and
+  // a bit-identical unmasked mean.
   constexpr std::size_t kModelSize = 6, kGoal = 4;
   SecureBufferManager per_update(kModelSize, kGoal, 1234, /*batch_size=*/1);
   SecureBufferManager batched(kModelSize, kGoal, 1234, /*batch_size=*/3);
@@ -1322,7 +1322,15 @@ TEST(SecureBuffer, BatchedModeMatchesPerUpdateBitForBit) {
   std::optional<std::vector<float>> per_update_mean, batched_mean;
   for (auto* manager : {&per_update, &batched}) {
     const bool is_batched = manager->batch_size() > 1;
-    // Five reports: four good, the third tampered (TSA-rejected).
+    // Five reports: four good, the third tampered (TSA-rejected).  A report
+    // whose submit triggers a flush hears its own verdict; the others are
+    // buffered until a later flush.  Batch 1 flushes every report.
+    using enum SecureSubmitOutcome;
+    const std::vector<SecureSubmitOutcome> expected_outcomes =
+        is_batched ? std::vector{kBuffered, kBuffered, kTsaRejected, kBuffered,
+                                 kAccepted}
+                   : std::vector{kAccepted, kAccepted, kTsaRejected, kAccepted,
+                                 kAccepted};
     for (std::uint64_t id = 1; id <= 5; ++id) {
       const auto upload = manager->next_upload_config();
       ASSERT_TRUE(upload.has_value());
@@ -1332,22 +1340,27 @@ TEST(SecureBuffer, BatchedModeMatchesPerUpdateBitForBit) {
           manager->platform(), *upload, id, 0, 5, /*weight=*/1.0, delta, id);
       ASSERT_TRUE(report.has_value());
       if (id == 3) report->contribution.sealed_seed.ciphertext[4] ^= 1;
-      const auto outcome = manager->submit(*report, 1.0);
+      EXPECT_EQ(manager->submit(*report, 1.0), expected_outcomes[id - 1])
+          << "report " << id << " batch size " << manager->batch_size();
       if (is_batched) {
-        EXPECT_EQ(outcome, SecureSubmitOutcome::kBuffered);
         // Flushes when a full batch of 3 is pending (report 3), and when
         // the flush could reach the goal (report 5: 2 accepted + 2 pending).
         constexpr std::size_t kPendingAfter[] = {1, 2, 0, 1, 0};
         EXPECT_EQ(manager->pending_count(), kPendingAfter[id - 1])
             << "after report " << id;
       } else {
-        EXPECT_EQ(outcome, id == 3 ? SecureSubmitOutcome::kTsaRejected
-                                   : SecureSubmitOutcome::kAccepted);
+        EXPECT_EQ(manager->pending_count(), 0u) << "after report " << id;
       }
       if (manager->goal_reached()) break;
     }
     EXPECT_EQ(manager->accepted_count(), kGoal);
-    EXPECT_EQ(manager->take_rejected(), is_batched ? 1u : 0u);
+    // The only rejection was returned to its own submitter (report 3 is the
+    // flushing report at both batch sizes), so none is left to claim.
+    EXPECT_EQ(manager->take_rejected(), 0u);
+    const auto acct = manager->accounting();
+    EXPECT_EQ(acct.submitted, 5u);
+    EXPECT_EQ(acct.accepted, kGoal);
+    EXPECT_EQ(acct.rejected, 1u);
     (is_batched ? batched_mean : per_update_mean) = manager->finalize_mean();
   }
   ASSERT_TRUE(per_update_mean.has_value());
@@ -1357,8 +1370,8 @@ TEST(SecureBuffer, BatchedModeMatchesPerUpdateBitForBit) {
 
 TEST(SecureBuffer, BatchedFlushTriggersAtGoalRegardlessOfBatchSize) {
   // Batch size larger than the goal: the goal-could-complete condition must
-  // flush early so the epoch finalizes after the same contributions as
-  // per-update mode would.
+  // flush early so the epoch finalizes after the same contributions as at
+  // batch size 1.
   constexpr std::size_t kModelSize = 4, kGoal = 2;
   SecureBufferManager manager(kModelSize, kGoal, 55, /*batch_size=*/16);
   for (std::uint64_t id = 1; id <= kGoal; ++id) {
@@ -1368,7 +1381,10 @@ TEST(SecureBuffer, BatchedFlushTriggersAtGoalRegardlessOfBatchSize) {
         manager.platform(), *upload, id, 0, 5, 1.0,
         std::vector<float>(kModelSize, 0.5f), id);
     ASSERT_TRUE(report.has_value());
-    EXPECT_EQ(manager.submit(*report, 1.0), SecureSubmitOutcome::kBuffered);
+    // The last report's submit flushes, so it hears its own verdict.
+    EXPECT_EQ(manager.submit(*report, 1.0),
+              id < kGoal ? SecureSubmitOutcome::kBuffered
+                         : SecureSubmitOutcome::kAccepted);
   }
   EXPECT_EQ(manager.pending_count(), 0u);  // flushed by the goal condition
   EXPECT_TRUE(manager.goal_reached());
@@ -1377,17 +1393,125 @@ TEST(SecureBuffer, BatchedFlushTriggersAtGoalRegardlessOfBatchSize) {
   for (const float v : *mean) EXPECT_NEAR(v, 0.5f, 1e-3f);
 }
 
+// A masked update that is not model_size long crosses the trust boundary
+// like any other contribution.  It must be refused at admission — not
+// thrown out of submit(), and not buffered where it would make every later
+// flush (and finalize_mean) throw — and counted as a rejection so the
+// accounting stays conserved.
+void expect_wrong_length_rejected_without_wedging(std::size_t batch_size) {
+  constexpr std::size_t kModelSize = 8, kGoal = 3;
+  SecureBufferManager manager(kModelSize, kGoal, 77, batch_size);
+  const auto report_for = [&](std::uint64_t id) {
+    const auto upload = manager.next_upload_config();
+    EXPECT_TRUE(upload.has_value());
+    auto report = SecureBufferManager::prepare_report(
+        manager.platform(), *upload, id, 0, 5, 1.0,
+        std::vector<float>(kModelSize, 0.25f), id);
+    EXPECT_TRUE(report.has_value());
+    return std::move(*report);
+  };
+  auto oversized = report_for(1);
+  oversized.contribution.masked_update.push_back(0);  // 9 elements
+  EXPECT_EQ(manager.submit(oversized, 1.0), SecureSubmitOutcome::kTsaRejected);
+  auto undersized = report_for(2);
+  undersized.contribution.masked_update.pop_back();  // 7 elements
+  EXPECT_EQ(manager.submit(undersized, 1.0), SecureSubmitOutcome::kTsaRejected);
+  EXPECT_EQ(manager.pending_count(), 0u);
+
+  for (std::uint64_t id = 3; id < 3 + kGoal; ++id) {
+    const auto outcome = manager.submit(report_for(id), 1.0);
+    EXPECT_TRUE(outcome == SecureSubmitOutcome::kAccepted ||
+                outcome == SecureSubmitOutcome::kBuffered)
+        << "report " << id;
+  }
+  EXPECT_TRUE(manager.goal_reached());
+  const auto acct = manager.accounting();
+  EXPECT_EQ(acct.submitted, 2 + kGoal);
+  EXPECT_EQ(acct.accepted, kGoal);
+  EXPECT_EQ(acct.rejected, 2u);
+  EXPECT_EQ(acct.pending, 0u);
+  EXPECT_EQ(acct.submitted,
+            acct.accepted + acct.rejected + acct.wrong_epoch + acct.pending);
+  // Both rejections were returned to their submitters.
+  EXPECT_EQ(manager.take_rejected(), 0u);
+  const auto mean = manager.finalize_mean();
+  ASSERT_TRUE(mean.has_value());
+  for (const float v : *mean) EXPECT_NEAR(v, 0.25f, 1e-3f);
+}
+
+TEST(SecureBuffer, WrongLengthUpdateRejectedAtBatchSizeOne) {
+  expect_wrong_length_rejected_without_wedging(1);
+}
+
+TEST(SecureBuffer, WrongLengthUpdateRejectedAtBatchSizeFour) {
+  expect_wrong_length_rejected_without_wedging(4);
+}
+
 TEST(SecureBuffer, BatchedRejectionFreesSyncRoundSlot) {
-  // Regression: in batched mode a buffered report is optimistically counted
-  // as completing its SyncFL slot; when the flush later rejects it, the
-  // completion (and buffered count) must be un-counted so round demand
-  // frees up for a replacement — exactly as per-update rejection behaves.
+  // Regression: a buffered report is optimistically counted as completing
+  // its SyncFL slot; when a later flush rejects it, the completion (and
+  // buffered count) must be un-counted so round demand frees up for a
+  // replacement — exactly as a rejection returned to its own submitter
+  // behaves.  Tampering report 1 takes the deferred path (report 2's submit
+  // flushes it); tampering report 2 takes the direct one.
+  for (const std::uint64_t tampered : {1ULL, 2ULL}) {
+    SCOPED_TRACE("tampered report " + std::to_string(tampered));
+    Aggregator agg("a");
+    TaskConfig cfg;
+    cfg.name = "lm";
+    cfg.mode = TrainingMode::kSync;
+    cfg.concurrency = 4;
+    cfg.aggregation_goal = 2;
+    cfg.model_size = 4;
+    cfg.secagg_enabled = true;
+    cfg.aggregation_batch_size = 2;
+    cfg.example_weighting = false;
+    agg.assign_task(cfg, std::vector<float>(4, 0.0f), {});
+
+    for (std::uint64_t c = 1; c <= 2; ++c) {
+      ASSERT_TRUE(agg.client_join("lm", c, 0.0).accepted);
+    }
+    const std::vector<float> delta(4, 0.25f);
+    for (std::uint64_t c = 1; c <= 2; ++c) {
+      const auto upload = agg.secure_upload_config("lm");
+      ASSERT_TRUE(upload.has_value());
+      auto report = SecureBufferManager::prepare_report(
+          agg.secure_platform("lm"), *upload, c, 0, 10, 1.0, delta, c);
+      ASSERT_TRUE(report.has_value());
+      if (c == tampered) report->contribution.sealed_seed.ciphertext[7] ^= 1;
+      agg.client_report_secure("lm", *report, 1.0);
+    }
+    // The tampered report was flushed and rejected: one completion stands,
+    // demand = concurrency - completed - active = 4 - 1 - 0 = 3, and the
+    // rejection is visible as a discarded update.
+    EXPECT_EQ(agg.stats("lm").updates_discarded, 1u);
+    EXPECT_EQ(agg.client_demand("lm"), 3);
+    EXPECT_EQ(agg.model_version("lm"), 0u);  // goal not yet reached
+
+    // A replacement client can join, complete, and finish the round.
+    ASSERT_TRUE(agg.client_join("lm", 3, 0.0).accepted);
+    const auto upload = agg.secure_upload_config("lm");
+    ASSERT_TRUE(upload.has_value());
+    const auto report = SecureBufferManager::prepare_report(
+        agg.secure_platform("lm"), *upload, 3, 0, 10, 1.0, delta, 3);
+    ASSERT_TRUE(report.has_value());
+    const auto result = agg.client_report_secure("lm", *report, 1.0);
+    EXPECT_TRUE(result.server_stepped);
+    EXPECT_EQ(agg.model_version("lm"), 1u);
+  }
+}
+
+TEST(SecureBuffer, RejectedFlushingReportStillReleasesBufferedRejections) {
+  // The report whose submit flushes hears its own verdict.  When that
+  // verdict is a rejection, the other rejections in the same flush must
+  // still be un-counted at once, or their SyncFL slots stay "completed" and
+  // the round cannot select replacements.
   Aggregator agg("a");
   TaskConfig cfg;
   cfg.name = "lm";
   cfg.mode = TrainingMode::kSync;
   cfg.concurrency = 4;
-  cfg.aggregation_goal = 2;
+  cfg.aggregation_goal = 3;
   cfg.model_size = 4;
   cfg.secagg_enabled = true;
   cfg.aggregation_batch_size = 2;
@@ -1398,32 +1522,23 @@ TEST(SecureBuffer, BatchedRejectionFreesSyncRoundSlot) {
     ASSERT_TRUE(agg.client_join("lm", c, 0.0).accepted);
   }
   const std::vector<float> delta(4, 0.25f);
+  std::vector<ReportOutcome> outcomes;
   for (std::uint64_t c = 1; c <= 2; ++c) {
     const auto upload = agg.secure_upload_config("lm");
     ASSERT_TRUE(upload.has_value());
     auto report = SecureBufferManager::prepare_report(
         agg.secure_platform("lm"), *upload, c, 0, 10, 1.0, delta, c);
     ASSERT_TRUE(report.has_value());
-    if (c == 2) report->contribution.sealed_seed.ciphertext[7] ^= 1;
-    agg.client_report_secure("lm", *report, 1.0);
+    report->contribution.sealed_seed.ciphertext[7] ^= 1;
+    outcomes.push_back(agg.client_report_secure("lm", *report, 1.0).outcome);
   }
-  // The tampered report was flushed and rejected: one completion stands,
-  // demand = concurrency - completed - active = 4 - 1 - 0 = 3, and the
-  // rejection is visible as a discarded update.
-  EXPECT_EQ(agg.stats("lm").updates_discarded, 1u);
-  EXPECT_EQ(agg.client_demand("lm"), 3);
-  EXPECT_EQ(agg.model_version("lm"), 0u);  // goal not yet reached
-
-  // A replacement client can join, complete, and finish the round.
-  ASSERT_TRUE(agg.client_join("lm", 3, 0.0).accepted);
-  const auto upload = agg.secure_upload_config("lm");
-  ASSERT_TRUE(upload.has_value());
-  const auto report = SecureBufferManager::prepare_report(
-      agg.secure_platform("lm"), *upload, 3, 0, 10, 1.0, delta, 3);
-  ASSERT_TRUE(report.has_value());
-  const auto result = agg.client_report_secure("lm", *report, 1.0);
-  EXPECT_TRUE(result.server_stepped);
-  EXPECT_EQ(agg.model_version("lm"), 1u);
+  // Report 1 was buffered; report 2 filled the batch, flushed both, and was
+  // told of its own rejection.
+  EXPECT_EQ(outcomes, (std::vector{ReportOutcome::kAccepted,
+                                   ReportOutcome::kRejectedUnknown}));
+  EXPECT_EQ(agg.stats("lm").updates_discarded, 2u);
+  EXPECT_EQ(agg.client_demand("lm"), 4);  // no completion stands
+  EXPECT_EQ(agg.model_version("lm"), 0u);
 }
 
 TEST(SecureBuffer, BatchedEndToEndThroughAggregator) {

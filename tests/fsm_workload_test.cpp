@@ -106,6 +106,9 @@ TEST(FsmWorkload, SecAggUnderByzantineFlood) {
   // invariants were vacuous.
   EXPECT_GT(workload.valid_submitted(), 0u);
   EXPECT_GT(workload.malformed_submitted(), 0u);
+  // Both byzantine arms ran: resized masked updates and tampered seeds.
+  EXPECT_GT(workload.resized_submitted(), 0u);
+  EXPECT_LT(workload.resized_submitted(), workload.malformed_submitted());
 }
 
 TEST(FsmWorkload, EventQueueChurnOnAllBackends) {

@@ -202,7 +202,8 @@ TEST(Integration, SecAggAggregateMatchesPlaintextAggregate) {
         platform, expectations, tsa.initial_messages().at(c),
         log.prove_inclusion(0), delta);
     ASSERT_TRUE(contribution.has_value());
-    ASSERT_EQ(session.accept(*contribution), secagg::TsaAccept::kAccepted);
+    ASSERT_EQ(session.accept({&*contribution, 1}),
+              std::vector{secagg::TsaAccept::kAccepted});
   }
 
   const auto secure_sum = session.finalize_decoded(fp);

@@ -176,7 +176,8 @@ TEST_P(SecAggSweep, SecureSumEqualsPlaintextSum) {
         platform, expectations, tsa.initial_messages().at(c),
         log.prove_inclusion(0), update);
     ASSERT_TRUE(contribution.has_value());
-    ASSERT_EQ(session.accept(*contribution), secagg::TsaAccept::kAccepted);
+    ASSERT_EQ(session.accept({&*contribution, 1}),
+              std::vector{secagg::TsaAccept::kAccepted});
   }
   const auto sum = session.finalize_decoded(fp);
   ASSERT_TRUE(sum.has_value());

@@ -13,7 +13,6 @@
 #include "secagg/fixed_point.hpp"
 #include "secagg/group.hpp"
 #include "secagg/otp.hpp"
-#include "secagg/secagg_batch.hpp"
 #include "secagg/secagg_client.hpp"
 #include "secagg/secagg_server.hpp"
 #include "secagg/tsa.hpp"
@@ -142,32 +141,13 @@ TEST(Otp, MaskExpansionDeterministic) {
   EXPECT_EQ(expand_mask(seed, 100), expand_mask(seed, 100));
 }
 
-TEST(Otp, ExpandMasksMatchesPerSeedExpansion) {
-  // Property: the multi-stream batch path is bit-identical to per-seed
-  // expansion, across seed counts straddling the 8-lane tile and lengths
-  // straddling ChaCha20 block boundaries.
-  util::Rng rng(6);
-  for (const std::size_t count : {0UL, 1UL, 5UL, 8UL, 9UL, 17UL}) {
-    for (const std::size_t length : {0UL, 1UL, 15UL, 16UL, 100UL, 1000UL}) {
-      std::vector<Seed> seeds(count);
-      for (auto& seed : seeds) {
-        for (auto& b : seed) b = static_cast<std::uint8_t>(rng.next());
-      }
-      const auto batched = expand_masks(seeds, length);
-      ASSERT_EQ(batched.size(), count);
-      for (std::size_t s = 0; s < count; ++s) {
-        EXPECT_EQ(batched[s], expand_mask(seeds[s], length))
-            << "count " << count << " length " << length << " seed " << s;
-      }
-    }
-  }
-}
-
 TEST(Otp, AccumulateMasksMatchesSequentialFold) {
-  util::Rng rng(7);
-  for (const std::size_t count : {1UL, 3UL, 8UL, 12UL}) {
-    // 5000 words spans multiple accumulation chunks (2048-word scratch).
-    const std::size_t length = 5000;
+  // Property: the multi-stream fold equals folding each seed's scalar
+  // expansion in turn, across seed counts straddling the 8-lane tile and
+  // lengths straddling ChaCha20 block and 2048-word scratch-chunk
+  // boundaries.
+  const auto check = [](util::Rng& rng, std::size_t count,
+                        std::size_t length) {
     std::vector<Seed> seeds(count);
     for (auto& seed : seeds) {
       for (auto& b : seed) b = static_cast<std::uint8_t>(rng.next());
@@ -177,7 +157,18 @@ TEST(Otp, AccumulateMasksMatchesSequentialFold) {
       add_in_place(expected, expand_mask(seed, length));
     }
     accumulate_masks(seeds, actual);
-    EXPECT_EQ(actual, expected) << "count " << count;
+    EXPECT_EQ(actual, expected) << "count " << count << " length " << length;
+  };
+  util::Rng rng(7);
+  for (const std::size_t count : {1UL, 3UL, 8UL, 12UL}) {
+    // 5000 words spans multiple accumulation chunks.
+    check(rng, count, 5000);
+  }
+  util::Rng grid_rng(6);
+  for (const std::size_t count : {0UL, 1UL, 5UL, 8UL, 9UL, 17UL}) {
+    for (const std::size_t length : {0UL, 1UL, 15UL, 16UL, 100UL, 1000UL}) {
+      check(grid_rng, count, length);
+    }
   }
 }
 
@@ -259,6 +250,30 @@ struct ProtocolWorld {
   }
 };
 
+// One contribution through the session's accept (a batch of one).
+TsaAccept accept_one(SecureAggregationSession& session,
+                     const ClientContribution& c) {
+  const std::vector<TsaAccept> verdicts = session.accept({&c, 1});
+  EXPECT_EQ(verdicts.size(), 1u);
+  return verdicts.at(0);
+}
+
+// One contribution's TSA-destined material straight into step 6.
+TsaAccept process_one(TrustedSecureAggregator& tsa, std::uint64_t index,
+                      std::span<const std::uint8_t> completing_message,
+                      const crypto::SealedBox& sealed_seed,
+                      std::uint64_t sequence) {
+  const TrustedSecureAggregator::ContributionRef ref{
+      index, completing_message, &sealed_seed, sequence};
+  return tsa.process_contributions({&ref, 1}).at(0);
+}
+
+TsaAccept process_one(TrustedSecureAggregator& tsa,
+                      const ClientContribution& c) {
+  return process_one(tsa, c.message_index, c.completing_message,
+                     c.sealed_seed, c.message_index);
+}
+
 TEST(Protocol, EndToEndSumMatchesPlaintextSum) {
   const std::size_t length = 32, n = 5;
   ProtocolWorld world(length, n, 16);
@@ -274,7 +289,7 @@ TEST(Protocol, EndToEndSumMatchesPlaintextSum) {
     }
     const auto contribution = world.client_contribution(c, update);
     ASSERT_TRUE(contribution.has_value());
-    EXPECT_EQ(session.accept(*contribution), TsaAccept::kAccepted);
+    EXPECT_EQ(accept_one(session, *contribution), TsaAccept::kAccepted);
   }
   EXPECT_TRUE(session.goal_reached());
   const auto sum = session.finalize_decoded(world.fp);
@@ -309,7 +324,7 @@ TEST(Protocol, ThresholdEnforcedBeforeRelease) {
   for (std::uint64_t c = 0; c < 2; ++c) {
     const auto contribution = world.client_contribution(c, update);
     ASSERT_TRUE(contribution.has_value());
-    session.accept(*contribution);
+    accept_one(session, *contribution);
   }
   // Below threshold: the TSA must refuse and stay live.
   EXPECT_FALSE(session.finalize().has_value());
@@ -317,7 +332,7 @@ TEST(Protocol, ThresholdEnforcedBeforeRelease) {
 
   const auto third = world.client_contribution(2, update);
   ASSERT_TRUE(third.has_value());
-  session.accept(*third);
+  accept_one(session, *third);
   EXPECT_TRUE(session.finalize().has_value());
 }
 
@@ -327,18 +342,14 @@ TEST(Protocol, OneShotRelease) {
   SecureAggregationSession session(*world.tsa, length, 1);
   const auto c = world.client_contribution(0, std::vector<float>(length, 0.5f));
   ASSERT_TRUE(c.has_value());
-  session.accept(*c);
+  accept_one(session, *c);
   EXPECT_TRUE(session.finalize().has_value());
   // Second unmask request must be ignored (Fig. 16 step 7), and further
   // contributions are rejected.
   EXPECT_FALSE(world.tsa->request_unmask().has_value());
   const auto late = world.client_contribution(1, std::vector<float>(length, 0.5f));
   ASSERT_TRUE(late.has_value());
-  EXPECT_EQ(world.tsa->process_contribution(late->message_index,
-                                            late->completing_message,
-                                            late->sealed_seed,
-                                            late->message_index),
-            TsaAccept::kReleased);
+  EXPECT_EQ(process_one(*world.tsa, *late), TsaAccept::kReleased);
 }
 
 TEST(Protocol, ReplayedIndexRejected) {
@@ -346,14 +357,8 @@ TEST(Protocol, ReplayedIndexRejected) {
   ProtocolWorld world(length, 4, 8);
   const auto c = world.client_contribution(0, std::vector<float>(length, 0.5f));
   ASSERT_TRUE(c.has_value());
-  EXPECT_EQ(world.tsa->process_contribution(c->message_index,
-                                            c->completing_message,
-                                            c->sealed_seed, c->message_index),
-            TsaAccept::kAccepted);
-  EXPECT_EQ(world.tsa->process_contribution(c->message_index,
-                                            c->completing_message,
-                                            c->sealed_seed, c->message_index),
-            TsaAccept::kIndexConsumed);
+  EXPECT_EQ(process_one(*world.tsa, *c), TsaAccept::kAccepted);
+  EXPECT_EQ(process_one(*world.tsa, *c), TsaAccept::kIndexConsumed);
 }
 
 TEST(Protocol, TamperedSeedCiphertextRejected) {
@@ -362,10 +367,7 @@ TEST(Protocol, TamperedSeedCiphertextRejected) {
   auto c = world.client_contribution(0, std::vector<float>(length, 0.5f));
   ASSERT_TRUE(c.has_value());
   c->sealed_seed.ciphertext[15] ^= 0x01;
-  EXPECT_EQ(world.tsa->process_contribution(c->message_index,
-                                            c->completing_message,
-                                            c->sealed_seed, c->message_index),
-            TsaAccept::kDecryptionFailed);
+  EXPECT_EQ(process_one(*world.tsa, *c), TsaAccept::kDecryptionFailed);
   EXPECT_EQ(world.tsa->accepted_count(), 0u);
 }
 
@@ -376,8 +378,8 @@ TEST(Protocol, SeedReplayUnderDifferentIndexRejected) {
   ProtocolWorld world(length, 2, 8);
   const auto c = world.client_contribution(0, std::vector<float>(length, 0.5f));
   ASSERT_TRUE(c.has_value());
-  EXPECT_EQ(world.tsa->process_contribution(/*index=*/1, c->completing_message,
-                                            c->sealed_seed, /*sequence=*/1),
+  EXPECT_EQ(process_one(*world.tsa, /*index=*/1, c->completing_message,
+                        c->sealed_seed, /*sequence=*/1),
             TsaAccept::kDecryptionFailed);
 }
 
@@ -386,8 +388,8 @@ TEST(Protocol, UnknownIndexRejected) {
   ProtocolWorld world(length, 1, 4);
   const auto c = world.client_contribution(0, std::vector<float>(length, 0.5f));
   ASSERT_TRUE(c.has_value());
-  EXPECT_EQ(world.tsa->process_contribution(/*index=*/99, c->completing_message,
-                                            c->sealed_seed, 99),
+  EXPECT_EQ(process_one(*world.tsa, /*index=*/99, c->completing_message,
+                        c->sealed_seed, 99),
             TsaAccept::kIndexUnknown);
 }
 
@@ -439,7 +441,7 @@ TEST(Protocol, ClientAbortsOnTamperedInitialMessage) {
 TEST(Protocol, MalformedCompletingMessagesAreBadPublicKeys) {
   // Every completing message that is not exactly one group element wide, or
   // whose value lies outside [2, p-2], gets kBadPublicKey without consuming
-  // the index, on both the single and the batched path.
+  // the index.
   const std::size_t length = 8;
   ProtocolWorld world(length, 1, 4);
   const auto c = world.client_contribution(0, std::vector<float>(length, 0.5f));
@@ -466,21 +468,13 @@ TEST(Protocol, MalformedCompletingMessagesAreBadPublicKeys) {
       {"2^256-1", util::Bytes(width, 0xff)},
   };
   for (const auto& [name, message] : malformed) {
-    EXPECT_EQ(world.tsa->process_contribution(c->message_index, message,
-                                              c->sealed_seed, c->message_index),
+    EXPECT_EQ(process_one(*world.tsa, c->message_index, message,
+                          c->sealed_seed, c->message_index),
               TsaAccept::kBadPublicKey)
-        << name;
-    const TrustedSecureAggregator::ContributionRef ref{
-        c->message_index, message, &c->sealed_seed, c->message_index};
-    EXPECT_EQ(world.tsa->process_contributions(std::span(&ref, 1)),
-              std::vector<TsaAccept>{TsaAccept::kBadPublicKey})
         << name;
   }
   EXPECT_EQ(world.tsa->accepted_count(), 0u);
-  EXPECT_EQ(world.tsa->process_contribution(c->message_index,
-                                            c->completing_message,
-                                            c->sealed_seed, c->message_index),
-            TsaAccept::kAccepted);
+  EXPECT_EQ(process_one(*world.tsa, *c), TsaAccept::kAccepted);
 }
 
 TEST(Protocol, ClientAbortsOnWrongWidthInitialMessage) {
@@ -524,7 +518,7 @@ TEST(Protocol, DropoutsDoNotBlockOthers) {
     for (std::size_t i = 0; i < length; ++i) expected[i] += update[i];
     const auto contribution = world.client_contribution(c, update);
     ASSERT_TRUE(contribution.has_value());
-    EXPECT_EQ(session.accept(*contribution), TsaAccept::kAccepted);
+    EXPECT_EQ(accept_one(session, *contribution), TsaAccept::kAccepted);
   }
   const auto sum = session.finalize_decoded(world.fp);
   ASSERT_TRUE(sum.has_value());
@@ -533,7 +527,7 @@ TEST(Protocol, DropoutsDoNotBlockOthers) {
   }
 }
 
-// ------------------------------------- Batched vs sequential equivalence --
+// ------------------------------------------------- Session batch accept --
 
 // A contribution list with mixed verdicts, in a deliberate order: a valid
 // one, a tampered sealed seed (kDecryptionFailed), more valid ones with a
@@ -541,30 +535,34 @@ TEST(Protocol, DropoutsDoNotBlockOthers) {
 // interleaved.  Prepared against `world`'s initial messages; any
 // ProtocolWorld built with the same parameters has an identical TSA
 // (deterministic enclave seed), so the same list replays against fresh
-// worlds.
-std::vector<ClientContribution> mixed_contributions(ProtocolWorld& world,
-                                                    std::size_t length) {
+// worlds.  `accepted_plaintext` receives the oracle aggregate: the sum of
+// the encoded plaintexts of the contributions the TSA accepts (clients 0-4;
+// client 5's seed is tampered).
+std::vector<ClientContribution> mixed_contributions(
+    ProtocolWorld& world, std::size_t length, GroupVec& accepted_plaintext) {
   util::Rng rng(11);
-  const auto valid = [&](std::uint64_t c) {
+  accepted_plaintext.assign(length, 0);
+  const auto valid = [&](std::uint64_t c, bool accepted) {
     std::vector<float> update(length);
     for (auto& v : update) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+    if (accepted) add_in_place(accepted_plaintext, encode(update, world.fp));
     auto contribution = world.client_contribution(c, update);
     EXPECT_TRUE(contribution.has_value());
     return std::move(*contribution);
   };
   std::vector<ClientContribution> batch;
-  batch.push_back(valid(0));
-  auto tampered = valid(5);
+  batch.push_back(valid(0, true));
+  auto tampered = valid(5, false);
   tampered.sealed_seed.ciphertext[10] ^= 1;
   batch.push_back(std::move(tampered));
-  batch.push_back(valid(1));
+  batch.push_back(valid(1, true));
   batch.push_back(batch[2]);  // duplicate index -> kIndexConsumed
   auto unknown = batch[0];
   unknown.message_index = 999;
   batch.push_back(std::move(unknown));
-  batch.push_back(valid(2));
-  batch.push_back(valid(3));
-  batch.push_back(valid(4));
+  batch.push_back(valid(2, true));
+  batch.push_back(valid(3, true));
+  batch.push_back(valid(4, true));
   return batch;
 }
 
@@ -574,51 +572,66 @@ const std::vector<TsaAccept> kMixedVerdicts{
     TsaAccept::kIndexUnknown,  TsaAccept::kAccepted,
     TsaAccept::kAccepted,      TsaAccept::kAccepted};
 
-TEST(BatchedSession, BitIdenticalToSequentialUnderMixedVerdicts) {
+TEST(Session, MixedVerdictsMatchOracleAtEveryBatchSize) {
   const std::size_t length = 700;  // not a ChaCha20 block multiple
   const std::size_t goal = 5;
-  ProtocolWorld seq_world(length, goal, 8);
-  const auto contributions = mixed_contributions(seq_world, length);
-
-  SecureAggregationSession sequential(*seq_world.tsa, length, goal);
-  std::vector<TsaAccept> seq_verdicts;
-  for (const auto& c : contributions) {
-    seq_verdicts.push_back(sequential.accept(c));
+  ProtocolWorld prep_world(length, goal, 8);
+  GroupVec expected_sum;
+  const auto contributions =
+      mixed_contributions(prep_world, length, expected_sum);
+  // The running masked sum is the plain Z_{2^32} sum of the accepted
+  // contributions' masked updates.
+  GroupVec expected_masked(length, 0);
+  for (std::size_t i = 0; i < contributions.size(); ++i) {
+    if (kMixedVerdicts[i] == TsaAccept::kAccepted) {
+      add_in_place(expected_masked, contributions[i].masked_update);
+    }
   }
-  EXPECT_EQ(seq_verdicts, kMixedVerdicts);
-  const auto seq_sum = sequential.finalize();
-  ASSERT_TRUE(seq_sum.has_value());
 
   // Batch sizes 1, K, and K+1 (a final short batch / one oversized span).
   for (const std::size_t batch_size :
-       {1UL, contributions.size(), contributions.size() + 1}) {
+       {1UL, 3UL, contributions.size(), contributions.size() + 1}) {
     ProtocolWorld world(length, goal, 8);
-    BatchedSecureAggregationSession batched(*world.tsa, length, goal);
+    SecureAggregationSession session(*world.tsa, length, goal);
     std::vector<TsaAccept> verdicts;
     for (std::size_t base = 0; base < contributions.size();
          base += batch_size) {
       const std::size_t n = std::min(batch_size, contributions.size() - base);
-      const auto part = batched.accept_batch(
-          std::span<const ClientContribution>(&contributions[base], n));
+      const auto part = session.accept({&contributions[base], n});
       verdicts.insert(verdicts.end(), part.begin(), part.end());
     }
-    EXPECT_EQ(verdicts, seq_verdicts) << "batch size " << batch_size;
-    EXPECT_EQ(batched.accepted_count(), sequential.accepted_count());
-    EXPECT_TRUE(batched.goal_reached());
-    // The running masked sum and the released aggregate are bit-identical.
-    EXPECT_EQ(batched.masked_sum(), sequential.masked_sum());
-    const auto batched_sum = batched.finalize();
-    ASSERT_TRUE(batched_sum.has_value());
-    EXPECT_EQ(*batched_sum, *seq_sum) << "batch size " << batch_size;
+    EXPECT_EQ(verdicts, kMixedVerdicts) << "batch size " << batch_size;
+    EXPECT_EQ(session.accepted_count(), goal);
+    EXPECT_TRUE(session.goal_reached());
+    EXPECT_EQ(session.masked_sum(), expected_masked)
+        << "batch size " << batch_size;
+    const auto sum = session.finalize();
+    ASSERT_TRUE(sum.has_value());
+    EXPECT_EQ(*sum, expected_sum) << "batch size " << batch_size;
   }
 }
 
-TEST(BatchedSession, EmptyBatchIsANoOp) {
+TEST(Session, WrongLengthThrowsBeforeAnythingIsProcessed) {
+  const std::size_t length = 8;
+  ProtocolWorld world(length, 2, 4);
+  auto good = world.client_contribution(0, std::vector<float>(length, 0.5f));
+  auto bad = world.client_contribution(1, std::vector<float>(length, 0.5f));
+  ASSERT_TRUE(good && bad);
+  bad->masked_update.push_back(0);
+  SecureAggregationSession session(*world.tsa, length, 2);
+  const std::vector<ClientContribution> batch{*good, *bad};
+  EXPECT_THROW(session.accept(batch), std::invalid_argument);
+  EXPECT_EQ(session.accepted_count(), 0u);
+  EXPECT_EQ(world.tsa->boundary().calls(), 0u);
+  EXPECT_EQ(accept_one(session, *good), TsaAccept::kAccepted);
+}
+
+TEST(Session, EmptyBatchIsANoOp) {
   const std::size_t length = 16;
   ProtocolWorld world(length, 1, 4);
-  BatchedSecureAggregationSession session(*world.tsa, length, 1);
+  SecureAggregationSession session(*world.tsa, length, 1);
   const GroupVec before = session.masked_sum();
-  EXPECT_TRUE(session.accept_batch({}).empty());
+  EXPECT_TRUE(session.accept({}).empty());
   EXPECT_EQ(session.masked_sum(), before);
   EXPECT_EQ(session.accepted_count(), 0u);
   EXPECT_EQ(world.tsa->boundary().calls(), 0u);
@@ -626,24 +639,21 @@ TEST(BatchedSession, EmptyBatchIsANoOp) {
   // The session still works after the no-op.
   const auto c = world.client_contribution(0, std::vector<float>(length, 0.5f));
   ASSERT_TRUE(c.has_value());
-  const auto verdicts =
-      session.accept_batch(std::span<const ClientContribution>(&*c, 1));
-  ASSERT_EQ(verdicts.size(), 1u);
-  EXPECT_EQ(verdicts[0], TsaAccept::kAccepted);
+  EXPECT_EQ(accept_one(session, *c), TsaAccept::kAccepted);
   EXPECT_TRUE(session.finalize().has_value());
 }
 
-TEST(BatchedSession, RejectedContributionDiscardsOnlyItself) {
+TEST(Session, RejectedContributionDiscardsOnlyItself) {
   const std::size_t length = 32;
   ProtocolWorld world(length, 2, 8);
-  BatchedSecureAggregationSession session(*world.tsa, length, 2);
+  SecureAggregationSession session(*world.tsa, length, 2);
   auto good0 = world.client_contribution(0, std::vector<float>(length, 0.5f));
   auto bad = world.client_contribution(1, std::vector<float>(length, 0.5f));
   auto good2 = world.client_contribution(2, std::vector<float>(length, -0.5f));
   ASSERT_TRUE(good0 && bad && good2);
   bad->sealed_seed.ciphertext[0] ^= 1;
   const std::vector<ClientContribution> batch{*good0, *bad, *good2};
-  const auto verdicts = session.accept_batch(batch);
+  const auto verdicts = session.accept(batch);
   EXPECT_EQ(verdicts,
             (std::vector<TsaAccept>{TsaAccept::kAccepted,
                                     TsaAccept::kDecryptionFailed,
@@ -655,12 +665,12 @@ TEST(BatchedSession, RejectedContributionDiscardsOnlyItself) {
   for (const float v : *sum) EXPECT_NEAR(v, 0.0f, 1e-3f);
 }
 
-TEST(BatchedSession, OneCrossingPerBatch) {
-  // The point of batching: K contributions cross the TSA boundary once,
-  // with one status byte out per contribution.
+TEST(Session, OneCrossingPerBatch) {
+  // K contributions cross the TSA boundary once, with one status byte out
+  // per contribution.
   const std::size_t length = 16, k = 4;
   ProtocolWorld world(length, k, 8);
-  BatchedSecureAggregationSession session(*world.tsa, length, k);
+  SecureAggregationSession session(*world.tsa, length, k);
   std::vector<ClientContribution> batch;
   for (std::uint64_t c = 0; c < k; ++c) {
     auto contribution =
@@ -668,7 +678,7 @@ TEST(BatchedSession, OneCrossingPerBatch) {
     ASSERT_TRUE(contribution.has_value());
     batch.push_back(std::move(*contribution));
   }
-  session.accept_batch(batch);
+  session.accept(batch);
   EXPECT_EQ(world.tsa->boundary().calls(), 1u);
   EXPECT_EQ(world.tsa->boundary().bytes_out(), k);
 }
@@ -684,10 +694,16 @@ TEST(Boundary, AsyncSecAggTrafficIsConstantPerClientInModelSize) {
         world.client_contribution(0, std::vector<float>(length, 0.1f));
     ASSERT_TRUE(c.has_value());
     const std::uint64_t before = world.tsa->boundary().bytes_in();
-    world.tsa->process_contribution(c->message_index, c->completing_message,
-                                    c->sealed_seed, c->message_index);
+    process_one(*world.tsa, *c);
     const std::uint64_t per_client = world.tsa->boundary().bytes_in() - before;
     EXPECT_LT(per_client, 256u) << "model length " << length;
+    // A batch of one meters exactly one contribution: one call, index +
+    // completing message + sealed seed in, one status byte out.
+    EXPECT_EQ(per_client, sizeof(c->message_index) +
+                              c->completing_message.size() +
+                              c->sealed_seed.ciphertext.size());
+    EXPECT_EQ(world.tsa->boundary().calls(), 1u);
+    EXPECT_EQ(world.tsa->boundary().bytes_out(), 1u);
   }
 }
 

@@ -768,10 +768,10 @@ TEST(Simulator, ShardedRunIsDeterministicPerShardCount) {
 // ------------------------------------------------------- Batched pipelines --
 
 TEST(Simulator, BatchedSecAggModeMatchesPerUpdateMode) {
-  // The batched SecAgg pipeline (TaskConfig::aggregation_batch_size > 1)
-  // accepts the same contributions into the same epochs and folds in
-  // Z_{2^32}, so a whole simulated deployment must train to a bit-identical
-  // model in batched and per-update mode.
+  // The SecAgg accept path accepts the same contributions into the same
+  // epochs at any TaskConfig::aggregation_batch_size and folds in Z_{2^32},
+  // so a whole simulated deployment must train to a bit-identical model at
+  // batch sizes 1 and 3.
   SimulationConfig cfg = store_config();
   cfg.task.secagg_enabled = true;
   cfg.task.aggregation_goal = 4;
