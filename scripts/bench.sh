@@ -3,7 +3,8 @@
 # repo root, seeding the perf trajectory tracked across PRs.
 #
 #   - bench_micro_* (Google Benchmark) emit native JSON via
-#     --benchmark_format=json.
+#     --benchmark_format=json, run with MICRO_REPETITIONS repetitions and
+#     only the aggregate rows (<name>_mean/_median/_stddev/_cv) kept.
 #   - bench_fig* / bench_ablation_* / bench_table1_* (figure and table
 #     reproductions) print human-readable text; their stdout is wrapped in a
 #     JSON envelope {bench, exit_code, seconds, output}.
@@ -20,13 +21,18 @@
 # the baseline committed at HEAD (git show), the delta is printed, and the
 # script exits nonzero if any metric regressed by more than
 # PAPAYA_BENCH_TOLERANCE (default 0.10 = +10%).  Regression means *slower*:
-# micro benches compare per-benchmark real_time, figure benches compare the
-# envelope's wall-clock seconds.
+# micro benches compare each benchmark's median real_time (<name>_median)
+# against the baseline's <name>_median, or against its plain <name> row
+# when the baseline predates repetitions; figure benches compare the
+# envelope's wall-clock seconds.  One run of a micro bench moves by more
+# than the tolerance from run to run on a shared box; the median of
+# several does not.
 set -uo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD="${PAPAYA_BENCH_DIR:-$ROOT/build}"
 TOLERANCE="${PAPAYA_BENCH_TOLERANCE:-0.10}"
+MICRO_REPETITIONS=5
 
 COMPARE=0
 FILTER=""
@@ -83,12 +89,17 @@ compare_with_baseline() {
     # baseline to regress against, and erroring on them would block the very
     # commit that introduces the column.
     rows="$(jq -rn '
-      (input | [.benchmarks[]? | {key: .name, value: .real_time}]
-             | from_entries) as $old
-      | (input | .benchmarks[]?)
-      | if $old[.name] != null and ($old[.name] > 0) then
-          [.name, $old[.name], .real_time,
-           ((.real_time / $old[.name] - 1) * 100)]
+      def medians: [.benchmarks[]? | select(.aggregate_name == "median")];
+      (input) as $old
+      | ($old | medians | map({key: .run_name, value: .real_time})
+              | from_entries) as $old_median
+      | ($old | [.benchmarks[]?
+                 | select((.run_type // "iteration") == "iteration")
+                 | {key: .name, value: .real_time}] | from_entries) as $old_plain
+      | (input | medians[])
+      | ($old_median[.run_name] // $old_plain[.run_name]) as $base
+      | if $base != null and ($base > 0) then
+          [.name, $base, .real_time, ((.real_time / $base - 1) * 100)]
         else
           [.name, "new", .real_time, "new"]
         end
@@ -138,7 +149,9 @@ for bin in "$BUILD"/bench_*; do
   start=$(date +%s.%N)
   if [[ "$name" == bench_micro_* ]]; then
     # Google Benchmark: native JSON straight to the collection file.
-    if "$bin" --benchmark_format=json > "$tmp_json"; then
+    if "$bin" --benchmark_format=json \
+        --benchmark_repetitions="$MICRO_REPETITIONS" \
+        --benchmark_report_aggregates_only=true > "$tmp_json"; then
       [ "$COMPARE" -eq 1 ] && compare_with_baseline "$name" "$tmp_json"
       mv "$tmp_json" "$out_json"
     else

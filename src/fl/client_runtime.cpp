@@ -101,7 +101,9 @@ LocalTrainingResult Executor::train(std::span<const float> global_params,
   std::vector<std::size_t> order(train_set.size());
   std::iota(order.begin(), order.end(), 0);
 
-  std::vector<ml::Sequence> batch;
+  // Minibatch slots keep their capacity across steps and epochs: each step
+  // copy-assigns into the first `end - start` of them.
+  std::vector<ml::Sequence> batch(std::min(config_.batch_size, order.size()));
   for (std::size_t epoch = 0; epoch < config_.epochs; ++epoch) {
     // Fisher–Yates shuffle with the caller's deterministic rng.
     for (std::size_t i = order.size(); i > 1; --i) {
@@ -111,11 +113,10 @@ LocalTrainingResult Executor::train(std::span<const float> global_params,
          start += config_.batch_size) {
       const std::size_t end =
           std::min(start + config_.batch_size, order.size());
-      batch.clear();
       for (std::size_t i = start; i < end; ++i) {
-        batch.push_back(train_set[order[i]]);
+        batch[i - start] = train_set[order[i]];
       }
-      model_->loss(batch, grad);
+      model_->loss(std::span(batch).first(end - start), grad);
       sgd.step(model_->params(), grad);
     }
   }

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "ml/dataset.hpp"
 #include "ml/math.hpp"
@@ -105,6 +107,155 @@ TEST(MlpLm, GradientsMatchFiniteDifferences) {
   auto model = make_mlp_lm(cfg, rng);
   const auto batch = tiny_batch();
   check_gradients(*model, batch, 2e-2);
+}
+
+// -------------------------------------------- Blocked MLP loss vs oracle --
+
+/// The MLP loss one prediction at a time, as MlpLm computed it before its
+/// block kernels: the reference whose float operations the blocked loss
+/// must reproduce element for element.  Same parameter layout as MlpLm.
+double per_prediction_mlp_loss(const LmConfig& cfg,
+                               std::span<const float> params,
+                               std::span<const Sequence> batch,
+                               std::span<float> grad) {
+  const std::size_t V = cfg.vocab_size, De = cfg.embed_dim,
+                    H = cfg.hidden_dim, C = cfg.context;
+  const std::size_t o_w1 = V * De, o_b1 = o_w1 + H * C * De, o_w2 = o_b1 + H,
+                    o_b2 = o_w2 + V * H;
+  if (!grad.empty()) std::fill(grad.begin(), grad.end(), 0.0f);
+  const std::size_t n_pred = LanguageModel::num_predictions(batch);
+  if (n_pred == 0) return 0.0;
+  const float inv_n = 1.0f / static_cast<float>(n_pred);
+  const auto at = [](auto s, std::size_t off, std::size_t len) {
+    return s.subspan(off, len);
+  };
+  const auto embed = at(params, 0, V * De);
+  const auto w1 = at(params, o_w1, H * C * De);
+  const auto b1 = at(params, o_b1, H);
+  const auto w2 = at(params, o_w2, V * H);
+  const auto b2 = at(params, o_b2, V);
+
+  std::vector<float> x(C * De), h(H), logits(V), dh(H), dx(C * De);
+  std::vector<std::size_t> ctx(C);
+  double total_loss = 0.0;
+  for (const auto& seq : batch) {
+    for (std::size_t t = 1; t < seq.size(); ++t) {
+      const auto target = static_cast<std::size_t>(seq[t]);
+      for (std::size_t j = 0; j < C; ++j) {
+        const std::ptrdiff_t idx = static_cast<std::ptrdiff_t>(t + j) -
+                                   static_cast<std::ptrdiff_t>(C);
+        ctx[j] = static_cast<std::size_t>(
+            idx >= 0 ? seq[static_cast<std::size_t>(idx)] : seq[0]);
+        std::copy_n(embed.begin() + static_cast<std::ptrdiff_t>(ctx[j] * De),
+                    De, x.begin() + static_cast<std::ptrdiff_t>(j * De));
+      }
+      matvec(w1, x, h, H, C * De);
+      for (std::size_t i = 0; i < H; ++i) h[i] = std::tanh(h[i] + b1[i]);
+      matvec(w2, h, logits, V, H);
+      for (std::size_t i = 0; i < V; ++i) logits[i] += b2[i];
+      const float lse = log_sum_exp(logits);
+      total_loss += lse - logits[target];
+      if (grad.empty()) continue;
+
+      softmax_in_place(logits);
+      logits[target] -= 1.0f;
+      for (auto& v : logits) v *= inv_n;
+      outer_accumulate(at(grad, o_w2, V * H), logits, h, 1.0f, V, H);
+      axpy(at(grad, o_b2, V), logits, 1.0f);
+      matvec_transposed(w2, logits, dh, V, H);
+      for (std::size_t i = 0; i < H; ++i) {
+        dh[i] *= tanh_derivative_from_output(h[i]);
+      }
+      outer_accumulate(at(grad, o_w1, H * C * De), dh, x, 1.0f, H, C * De);
+      axpy(at(grad, o_b1, H), dh, 1.0f);
+      matvec_transposed(w1, dh, dx, H, C * De);
+      for (std::size_t j = 0; j < C; ++j) {
+        for (std::size_t d = 0; d < De; ++d) {
+          grad[ctx[j] * De + d] += dx[j * De + d];
+        }
+      }
+    }
+  }
+  return total_loss / static_cast<double>(n_pred);
+}
+
+/// A batch with exactly `predictions` next-token predictions, led by an
+/// empty and a one-token sequence, with sequence lengths drawn from `rng`.
+std::vector<Sequence> batch_with_predictions(std::size_t predictions,
+                                             std::size_t vocab,
+                                             util::Rng& rng) {
+  const auto token = [&] {
+    return static_cast<std::int32_t>(rng.uniform_int(vocab));
+  };
+  std::vector<Sequence> batch{{}, {token()}};
+  for (std::size_t left = predictions; left > 0;) {
+    const std::size_t len = std::min(left, 1 + rng.uniform_int(8)) + 1;
+    Sequence seq(len);
+    for (auto& t : seq) t = token();
+    batch.push_back(std::move(seq));
+    left -= len - 1;
+    if (rng.uniform_int(3) == 0) batch.push_back({token()});
+  }
+  return batch;
+}
+
+TEST(MlpLm, BlockedLossMatchesPerPredictionOracleBitForBit) {
+  struct Shape {
+    std::size_t vocab, embed, hidden, context;
+  };
+  const Shape shapes[] = {
+      {128, 24, 64, 2},  // fleetbench secagg-train
+      {64, 12, 24, 2},   // fleetbench fleet-1m
+      {8, 5, 6, 2},     {33, 7, 13, 4},
+      {16, 4, 9, 1},    // context 1
+      {20, 3, 10, 12},  // context longer than every sequence
+  };
+  util::Rng rng(41);
+  for (const Shape& s : shapes) {
+    const LmConfig cfg{.vocab_size = s.vocab,
+                       .embed_dim = s.embed,
+                       .hidden_dim = s.hidden,
+                       .context = s.context};
+    auto model = make_mlp_lm(cfg, rng);
+    // Parameters well away from the small init, so that every product and
+    // partial sum rounds.
+    for (auto& p : model->params()) p = static_cast<float>(rng.normal());
+    for (const std::size_t predictions : {1, 15, 16, 17, 33}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "shape " << s.vocab << "/" << s.embed << "/" << s.hidden
+                   << "/" << s.context << ", " << predictions
+                   << " predictions");
+      const auto batch = batch_with_predictions(predictions, s.vocab, rng);
+      ASSERT_EQ(LanguageModel::num_predictions(batch), predictions);
+
+      std::vector<float> grad(model->num_params(), std::nanf(""));
+      std::vector<float> want_grad(model->num_params(), std::nanf(""));
+      const double got = model->loss(batch, grad);
+      const double want =
+          per_prediction_mlp_loss(cfg, model->params(), batch, want_grad);
+      EXPECT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
+          << got << " vs " << want;
+      EXPECT_EQ(std::memcmp(grad.data(), want_grad.data(),
+                            grad.size() * sizeof(float)),
+                0);
+
+      const double got_eval = model->loss(batch, {});
+      const double want_eval =
+          per_prediction_mlp_loss(cfg, model->params(), batch, {});
+      EXPECT_EQ(std::memcmp(&got_eval, &want_eval, sizeof(double)), 0);
+      EXPECT_EQ(std::memcmp(&got_eval, &want, sizeof(double)), 0);
+    }
+  }
+
+  // Twenty predictions whose 17th, the first of the second block, targets
+  // a token outside the vocabulary.
+  auto model = make_mlp_lm(LmConfig{.vocab_size = 8}, rng);
+  Sequence seq(21, 1);
+  seq[17] = 8;
+  const std::vector<Sequence> batch{seq};
+  std::vector<float> grad(model->num_params());
+  EXPECT_THROW(model->loss(batch, grad), std::out_of_range);
+  EXPECT_THROW(model->loss(batch, {}), std::out_of_range);
 }
 
 TEST(LstmLm, GradientsMatchFiniteDifferences) {
